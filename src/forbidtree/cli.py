@@ -6,6 +6,7 @@ ran out of budget (verdict unknown).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from dataclasses import dataclass
@@ -127,6 +128,11 @@ def cmd_verify(args) -> int:
         kwargs["ns"] = _parse_range(args.n)
     if args.seeds:
         kwargs["seeds"] = _parse_range(args.seeds)
+    params = inspect.signature(suite).parameters
+    for flag, name in (("--n", "ns"), ("--seeds", "seeds")):
+        if name in kwargs and name not in params:
+            print(f"suite {args.suite!r} does not take {flag}", file=sys.stderr)
+            return 2
     sink = open(args.out, "w") if args.out else sys.stdout
     failures = unknown = total = 0
     try:

@@ -9,7 +9,9 @@ with crossings or a forbidden edge.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .geometry import (
@@ -86,17 +88,23 @@ class Embedding:
         """Point-index edges induced by the tree edges."""
         return [Edge(self.assignment[u], self.assignment[v]) for u, v in self.tree.tree.edges]
 
+    @cached_property
+    def _crossings(self) -> int:
+        pairs = itertools.combinations(self.segment_edges(), 2)
+        return sum(segments_cross(self.points, a, b) for a, b in pairs)
+
     def crossing_count(self) -> int:
-        segs = self.segment_edges()
-        count = 0
-        for i in range(len(segs)):
-            for j in range(i + 1, len(segs)):
-                if segments_cross(self.points, segs[i], segs[j]):
-                    count += 1
-        return count
+        """Number of crossing segment pairs; computed once per embedding."""
+        return self._crossings
 
     def hull_edges_used(self) -> int:
-        return sum(1 for e in self.segment_edges() if edge_depth(self.points, e) == 0)
+        """Segments that are hull edges (edge depth 0, in general position)."""
+        segs = self.segment_edges()
+        if len(self.points) < 3:
+            return len(segs)
+        hull = convex_hull(self.points)
+        hull_edges = {Edge(hull[i - 1], hull[i]) for i in range(len(hull))}
+        return sum(1 for e in segs if e in hull_edges)
 
     def uses_edge(self, e: Edge) -> bool:
         return e in set(self.segment_edges())
@@ -106,14 +114,14 @@ class Embedding:
         return all(e not in used for e in forbidden)
 
     def validate(self) -> None:
-        crossings = self.crossing_count()
+        crossings = self._crossings
         if crossings:
             raise EmbeddingDefectError(f"embedding has {crossings} crossing(s)")
 
     def to_json(self, forbidden: EdgeSet | None = None) -> dict:
         out = {
             "assignment": list(self.assignment),
-            "crossings": self.crossing_count(),
+            "crossings": self._crossings,
             "hull_edges_used": self.hull_edges_used(),
             "forbidden_avoided": self.avoids(forbidden) if forbidden is not None else None,
         }

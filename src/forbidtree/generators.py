@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 import random
 
-from .geometry import GeneralPositionError, PointSet, convex_hull
+from .geometry import GeneralPositionError, PointSet, _direction, convex_hull
 
 CONVEX_RADIUS = 10**6
 RANDOM_SPAN = 10**6
@@ -63,13 +63,8 @@ def random_points(n: int, seed: int = 1, span: int = RANDOM_SPAN) -> PointSet:
 
 
 def _degenerate(pts: list[tuple[int, int]], cand: tuple[int, int]) -> bool:
+    """True iff cand coincides with a point of pts or is collinear with two."""
     if cand in pts:
         return True
     cx, cy = cand
-    for i in range(len(pts)):
-        ax, ay = pts[i]
-        for j in range(i + 1, len(pts)):
-            bx, by = pts[j]
-            if (bx - ax) * (cy - ay) == (by - ay) * (cx - ax):
-                return True
-    return False
+    return len({_direction(x - cx, y - cy) for x, y in pts}) != len(pts)

@@ -1,12 +1,15 @@
 """Exact planar geometry over integer coordinates.
 
 All predicates are computed with exact integer arithmetic; point sets are
-validated to be in general position (no three collinear) at construction,
-so every downstream crossing/orientation test is branch-free and exact.
+validated to be in general position (no three collinear) once, in O(n^2),
+at construction, so every downstream crossing/orientation test is
+branch-free and exact. Cells are index lists into the one validated set, so
+their hulls (``_chain_hull``) need no re-validation.
 All types are immutable values and all operations are pure functions.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Iterable, Sequence
@@ -18,6 +21,15 @@ COORD_BOUND = 1 << 30
 
 class GeneralPositionError(ValueError):
     """Raised when a point set violates the general-position contract."""
+
+
+def _direction(dx: int, dy: int) -> tuple[int, int]:
+    """Primitive direction of a nonzero vector, up to sign (equal iff parallel)."""
+    g = math.gcd(dx, dy)
+    dx, dy = dx // g, dy // g
+    if dx < 0 or (dx == 0 and dy < 0):
+        return -dx, -dy
+    return dx, dy
 
 
 @dataclass(frozen=True, order=True)
@@ -121,7 +133,8 @@ class PointSet:
 
     General position (no two coincident, no three collinear) is enforced
     eagerly at construction; violations raise GeneralPositionError rather
-    than degrading later predicates.
+    than degrading later predicates. The check is O(n^2): i < j < k are
+    collinear iff j and k have the same ``_direction`` from i.
     """
 
     def __init__(self, points: Iterable[Point | tuple[int, int]]):
@@ -131,14 +144,13 @@ class PointSet:
         )
         if len(set(pts)) != len(pts):
             raise GeneralPositionError("coincident points")
-        n = len(pts)
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    if orient(pts[i], pts[j], pts[k]) == 0:
-                        raise GeneralPositionError(
-                            f"collinear triple at indices {i},{j},{k}"
-                        )
+        for i, p in enumerate(pts):
+            dirs = [_direction(q.x - p.x, q.y - p.y) for q in pts[i + 1:]]
+            if len(set(dirs)) != len(dirs):
+                j = next(j for j, d in enumerate(dirs) if dirs.count(d) > 1)
+                k = dirs.index(dirs[j], j + 1)
+                raise GeneralPositionError(
+                    f"collinear triple at indices {i},{i + j + 1},{i + k + 1}")
         self._points = pts
         self._hull: tuple[int, ...] | None = None
         self._cross_sets: dict[int, frozenset[int]] | None = None
@@ -222,15 +234,22 @@ def segments_cross(s: PointSet, e1: Edge, e2: Edge) -> bool:
 def convex_hull(s: PointSet) -> list[int]:
     """Indices of hull vertices in counter-clockwise order.
 
-    Monotone chain; output rotated to start at the smallest hull index so
-    the result is a canonical function of the point set.
+    Output rotated to start at the smallest hull index so the result is a
+    canonical function of the point set; cached on the point set.
     """
     n = len(s)
     if n < 3:
         raise ValueError("convex hull requires at least 3 points")
-    if s._hull is not None:
-        return list(s._hull)
-    order = sorted(range(n), key=lambda i: (s[i].x, s[i].y))
+    if s._hull is None:
+        hull = _chain_hull(s, range(n))
+        start = hull.index(min(hull))
+        s._hull = tuple(hull[start:] + hull[:start])
+    return list(s._hull)
+
+
+def _chain_hull(s: PointSet, indices: Iterable[int]) -> list[int]:
+    """Monotone chain over an index list (>= 3 entries) of s; CCW order."""
+    order = sorted(indices, key=lambda i: (s[i].x, s[i].y))
     lower: list[int] = []
     for i in order:
         while len(lower) >= 2 and orient(s[lower[-2]], s[lower[-1]], s[i]) <= 0:
@@ -241,11 +260,7 @@ def convex_hull(s: PointSet) -> list[int]:
         while len(upper) >= 2 and orient(s[upper[-2]], s[upper[-1]], s[i]) <= 0:
             upper.pop()
         upper.append(i)
-    hull = lower[:-1] + upper[:-1]
-    start = hull.index(min(hull))
-    hull = hull[start:] + hull[:start]
-    s._hull = tuple(hull)
-    return list(hull)
+    return lower[:-1] + upper[:-1]
 
 
 def is_convex_position(s: PointSet) -> bool:
@@ -346,18 +361,12 @@ def visible_hull_vertices(s: PointSet, apex: int, cell: Sequence[int]) -> list[i
     ordered = angular_sort(s, apex, cell)
     if len(cell) == 2:
         return ordered
-    sub_indices = sorted(cell)
-    sub = s.subset(sub_indices)
-    back = {pos: idx for pos, idx in enumerate(sub_indices)}
-    hull_local = convex_hull(sub)
-    hull_global = [back[h] for h in hull_local]
-    hull_edges = [
-        Edge(hull_global[i], hull_global[(i + 1) % len(hull_global)])
-        for i in range(len(hull_global))
-    ]
+    hull = _chain_hull(s, cell)
+    on_hull = set(hull)
+    hull_edges = [Edge(hull[i - 1], hull[i]) for i in range(len(hull))]
     visible = []
     for q in ordered:
-        if q not in hull_global:
+        if q not in on_hull:
             continue
         probe = Edge(apex, q)
         if not any(segments_cross(s, probe, he) for he in hull_edges):

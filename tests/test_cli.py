@@ -150,3 +150,11 @@ def test_render_round_trip(tmp_path, capsys):
     # forbidden edges render dashed, tree edges solid
     assert text.count("stroke-dasharray") == 2
     assert text.count("<line") == 7
+
+
+def test_verify_rejects_parameters_the_suite_does_not_take(capsys):
+    for argv in (("--suite", "blanket", "--n", "7"), ("--suite", "conf3", "--seeds", "1")):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1

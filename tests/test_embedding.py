@@ -9,7 +9,7 @@ from forbidtree.embedding import (
     rotate_embedding,
 )
 from forbidtree.generators import convex_points, random_points
-from forbidtree.geometry import PointSet, convex_hull
+from forbidtree.geometry import Edge, PointSet, convex_hull, edge_depth
 from forbidtree.trees import Tree, all_trees, root_at
 
 
@@ -165,3 +165,28 @@ def test_embedding_json():
     assert len(data["assignment"]) == 5
     data2 = emb.to_json(forbidden=None)
     assert data2["forbidden_avoided"] is None
+
+
+def test_hull_edges_used_matches_edge_depth():
+    for s in (convex_points(7, seed=2), random_points(9, seed=4), PointSet([(0, 0), (1, 0)])):
+        n = len(s)
+        for t in all_trees(n):
+            emb = embed_recursive(root_at(t, 0), s)
+            depth0 = sum(1 for e in emb.segment_edges() if edge_depth(s, e) == 0)
+            assert emb.hull_edges_used() == depth0
+
+
+def test_crossings_computed_once(monkeypatch):
+    import forbidtree.embedding as embedding
+    s = random_points(9, seed=3)
+    emb = embed_recursive(root_at(all_trees(9)[5], 0), s)
+    calls = []
+    monkeypatch.setattr(embedding, "segments_cross",
+                        lambda *a: calls.append(a) or False)
+    fresh = Embedding(emb.tree, s, emb.assignment)
+    fresh.validate()
+    first = len(calls)
+    assert first > 0
+    fresh.to_json()
+    assert fresh.crossing_count() == 0
+    assert len(calls) == first

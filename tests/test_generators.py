@@ -36,3 +36,27 @@ def test_generator_bad_sizes():
         convex_points(2, seed=1)
     with pytest.raises(ValueError):
         random_points(0, seed=1)
+
+
+# Coordinates produced before _degenerate became O(m) per candidate. The small
+# spans force many coincident and collinear rejections, so equality shows the
+# rejection sequence is unchanged.
+PINNED = {
+    (5, 1, 10**6): [(-718218, 193707), (777197, 682471), (601751, -867656),
+                    (-465082, -752707), (39002, 595853)],
+    (8, 3, 10**6): [(-500953, 242858), (141331, -726484), (-224148, 920875),
+                    (266512, -5838), (312230, 218135), (-862577, 270034),
+                    (-972385, 905930), (756299, -15949)],
+    (10, 7, 6): [(-1, -4), (0, 4), (-6, -5), (2, -5), (-1, 3), (-6, 2), (-3, -6),
+                 (-5, 0), (2, 0), (-5, -3)],
+    (12, 2, 10): [(-9, -8), (-8, 1), (-5, -1), (-2, 9), (-4, 9), (-9, 8), (-5, 3),
+                  (10, 2), (6, 1), (7, 4), (6, -2), (1, 4)],
+    (9, 4, 3): [(-2, -1), (-3, 2), (0, 0), (-2, -3), (-3, -3), (0, 1), (-1, 3),
+                (3, 2), (3, -1)],
+}
+
+
+@pytest.mark.parametrize("n,seed,span", sorted(PINNED))
+def test_random_points_pinned(n, seed, span):
+    s = random_points(n, seed, span=span)
+    assert [(p.x, p.y) for p in s] == PINNED[(n, seed, span)]
