@@ -10,7 +10,8 @@ with crossings or a forbidden edge.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from enum import Enum
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -21,8 +22,8 @@ from .geometry import (
     angular_sort,
     convex_hull,
     edge_depth,
-    hull_position,
     polar_order,
+    require_convex_position,
     segments_cross,
     visible_hull_vertices,
 )
@@ -151,33 +152,51 @@ def last_visible_child(apex: int, cell: Sequence[int], visible: Sequence[int]) -
     return visible[-1]
 
 
-class _Engine:
-    """Plan-driven recursive placement.
+class Placement(Enum):
+    """A whole-subtree placement that replaces the wedge step at its root."""
 
-    A plan is the rooted tree plus per-vertex child orders, per-vertex sets
-    of points to avoid when a choice exists, and special-case placements
-    keyed by subtree root. The run is fully deterministic.
+    STAR = "star"
+    PATH3 = "path3"
+    SPIDER = "spider"
+
+
+@dataclass
+class RepairPlan:
+    """What the repair rounds of one wedge run may change; the engine only reads it.
+
+    child_order: per-vertex child order, which fixes the order of the blocks.
+    avoid: per-vertex points to pass over when the visible hull offers another.
+    placements: whole-subtree placements keyed by subtree root.
+    root_anchor: the point of the center when the tree root is a SPIDER.
     """
+
+    child_order: list[list[int]]
+    avoid: dict[int, set[int]] = field(default_factory=dict)
+    placements: dict[int, Placement] = field(default_factory=dict)
+    root_anchor: int | None = None
+
+
+class _Engine:
+    """Plan-driven recursive placement; the run is fully deterministic."""
 
     def __init__(
         self,
         s: PointSet,
         rt: RootedTree,
-        child_order: list[list[int]],
+        plan: RepairPlan,
         root_choice: RootChoice,
         child_choice: ChildChoice,
-        avoid: dict[int, set[int]] | None = None,
-        special: dict[int, tuple] | None = None,
         forbidden: Edge | None = None,
         trace: list[WedgePartition] | None = None,
     ):
         self.s = s
         self.rt = rt
-        self.child_order = child_order
+        self.child_order = plan.child_order
+        self.avoid = plan.avoid
+        self.placements = plan.placements
+        self.root_anchor = plan.root_anchor
         self.root_choice = root_choice
         self.child_choice = child_choice
-        self.avoid = avoid or {}
-        self.special = special or {}
         self.forbidden = forbidden
         self.trace = trace
         self.asg = [-1] * rt.k
@@ -185,11 +204,11 @@ class _Engine:
 
     def run(self) -> list[int]:
         root = self.rt.root
-        sp = self.special.get(root)
-        if sp is not None and sp[0] == "spider_root":
-            self._spider_from_root(sp[1])
+        placement = self.placements.get(root)
+        if placement is Placement.SPIDER:
+            self._spider_from_root(self.root_anchor)
             return self.asg
-        if sp is not None and sp[0] == "star":
+        if placement is Placement.STAR:
             self._place_star(root, None, list(range(len(self.s))))
             return self.asg
         root_pt = self.root_choice(self.s)
@@ -216,15 +235,14 @@ class _Engine:
         if self.trace is not None:
             self.trace.append(WedgePartition(v_pt, tuple(tuple(b) for b in blocks)))
         for c, block in zip(kids, blocks):
-            sp = self.special.get(c)
-            if sp is not None and sp[0] == "star":
-                self._place_star(c, v_pt, block)
-                continue
-            if sp is not None and sp[0] == "path3":
-                self._place_path3(c, v_pt, block)
-                continue
-            if sp is not None and sp[0] == "spider":
-                self._place_spider(c, v_pt, block)
+            placement = self.placements.get(c)
+            if placement is not None:
+                if placement is Placement.STAR:
+                    self._place_star(c, v_pt, block)
+                elif placement is Placement.PATH3:
+                    self._place_path3(c, v_pt, block)
+                else:
+                    self._place_spider(c, v_pt, block)
                 continue
             visible = visible_hull_vertices(self.s, v_pt, block)
             banned = self.avoid.get(c, ())
@@ -393,8 +411,8 @@ class _Engine:
             self.placed += [Edge(p, a), Edge(a, b)]
 
 
-def _default_orders(rt: RootedTree) -> list[list[int]]:
-    return [list(rt.children[v]) for v in range(rt.k)]
+def _default_plan(rt: RootedTree) -> RepairPlan:
+    return RepairPlan([list(rt.children[v]) for v in range(rt.k)])
 
 
 def embed_recursive(
@@ -416,7 +434,7 @@ def embed_recursive(
     engine = _Engine(
         s,
         rt,
-        _default_orders(rt),
+        _default_plan(rt),
         root_choice or lowest_point_root,
         child_point_choice or first_visible_child,
         trace=trace,
@@ -456,42 +474,22 @@ def embed_avoiding_single(t: Tree, s: PointSet, e: Edge) -> Embedding:
     if e.b >= n:
         raise IndexError(f"edge {e} out of range for {n} points")
     rt = sort_children_by_subtree_size(root_at(t, 0), ascending=True)
-    child_order = _default_orders(rt)
-    avoid: dict[int, set[int]] = {}
-    special: dict[int, tuple] = {}
+    plan = _default_plan(rt)
     for _ in range(n * n):
-        engine = _Engine(
-            s,
-            rt,
-            [list(o) for o in child_order],
-            lowest_point_root,
-            first_visible_child,
-            avoid=avoid,
-            special=special,
-            forbidden=e,
-        )
-        asg = engine.run()
+        asg = _Engine(s, rt, plan, lowest_point_root, first_visible_child, forbidden=e).run()
         bad = _find_edge_use(rt, asg, e)
         if bad is None:
             emb = Embedding(rt, s, tuple(asg))
             emb.validate()
             return emb
         u, v = bad
-        _apply_repair(rt, child_order, avoid, special, u, v, asg)
+        _apply_repair(rt, plan, u, v, asg)
     raise EmbeddingDefectError(
         f"forbidden edge still used after {n * n} repairs; this input is a reportable defect"
     )
 
 
-def _apply_repair(
-    rt: RootedTree,
-    child_order: list[list[int]],
-    avoid: dict[int, set[int]],
-    special: dict[int, tuple],
-    u: int,
-    v: int,
-    asg: list[int],
-) -> None:
+def _apply_repair(rt: RootedTree, plan: RepairPlan, u: int, v: int, asg: list[int]) -> None:
     """One repair step for a forbidden edge drawn on tree edge (u, v).
 
     u is the parent (at point p), v the child (at point q). The repairs,
@@ -506,6 +504,7 @@ def _apply_repair(
          subtree (at the root or inside its own cell).
     """
     size = rt.subtree_size
+    child_order, avoid = plan.child_order, plan.avoid
     p, q = asg[u], asg[v]
     if size[v] >= 2:
         avoid.setdefault(v, set()).add(q)
@@ -530,7 +529,7 @@ def _apply_repair(
             child_order[u].insert(0, v)
         return
     if siblings_v:
-        special[u] = ("star",)
+        plan.placements[u] = Placement.STAR
         return
     # v is the only child of u and a leaf
     z = rt.parent[u]
@@ -540,7 +539,7 @@ def _apply_repair(
     if not siblings_u:
         if rt.parent[z] is None:
             raise EmbeddingDefectError("3-vertex tree cannot reach the repair stage")
-        special[z] = ("path3",)
+        plan.placements[z] = Placement.PATH3
         return
     big_u = [c for c in siblings_u if size[c] >= 3
              and child_order[z].index(c) > child_order[z].index(u)]
@@ -558,10 +557,9 @@ def _apply_repair(
         child_order[z].insert(child_order[z].index(u) + 1, leaf_sib)
         return
     # every sibling subtree of u is a 2-vertex chain: spider territory
+    plan.placements[z] = Placement.SPIDER
     if rt.parent[z] is None:
-        special[z] = ("spider_root", p)
-    else:
-        special[z] = ("spider",)
+        plan.root_anchor = p
 
 
 def embed_few_hull_edges(t: Tree, s: PointSet) -> Embedding:
@@ -578,8 +576,7 @@ def embed_few_hull_edges(t: Tree, s: PointSet) -> Embedding:
         raise ValueError("tree and point set sizes differ")
     if n < 5:
         raise ValueError("the hull-edge bound needs n >= 5")
-    if len(convex_hull(s)) != n:
-        raise ValueError("point set is not in convex position")
+    require_convex_position(s)
     if t.is_star():
         center = max(range(n), key=lambda v: t.degree(v))
         emb = embed_recursive(root_at(t, center), s)
@@ -635,26 +632,24 @@ def _few_hull_general(t: Tree, s: PointSet) -> Embedding:
     n = t.k
     root = min(v for v in range(n) if t.degree(v) >= 3)
     rt = sort_children_by_subtree_size(root_at(t, root), ascending=True)
-    order = _default_orders(rt)
-    kids = order[root]
+    plan = _default_plan(rt)
+    kids = plan.child_order[root]
     first_big = next(c for c in kids if rt.subtree_size[c] >= 2)
     kids.remove(first_big)
     kids.insert(0, first_big)
 
-    def run(orders: list[list[int]]) -> Embedding:
-        engine = _Engine(
-            s, rt, [list(o) for o in orders], lowest_point_root, _hull_avoiding_choice(s)
-        )
+    def run() -> Embedding:
+        engine = _Engine(s, rt, plan, lowest_point_root, _hull_avoiding_choice(s))
         return Embedding(rt, s, tuple(engine.run()))
 
-    emb = run(order)
+    emb = run()
     if emb.hull_edges_used() * 2 >= n:
         movable = [c for c in kids[1:] if rt.subtree_size[c] >= 2]
         if not movable:
             raise EmbeddingDefectError("no movable non-leaf child at the root")
         kids.remove(movable[0])
         kids.append(movable[0])
-        emb = run(order)
+        emb = run()
     return emb
 
 
@@ -666,10 +661,8 @@ def rotate_embedding(emb: Embedding, i: int) -> Embedding:
     """
     s = emb.points
     n = len(s)
-    if len(convex_hull(s)) != n:
-        raise ValueError("rotation requires convex position")
-    hull = convex_hull(s)
-    pos = hull_position(s)
+    hull = require_convex_position(s)
+    pos = {p: j for j, p in enumerate(hull)}
     new_asg = tuple(hull[(pos[p] - i) % n] for p in emb.assignment)
     out = Embedding(emb.tree, s, new_asg)
     out.validate()
@@ -695,7 +688,6 @@ def embed_convex_avoiding_two(t: Tree, s: PointSet, f1: Edge, f2: Edge) -> Embed
     for i in range(n):
         cand = rotate_embedding(base, i)
         if not cand.uses_edge(f1) and not cand.uses_edge(f2):
-            cand.validate()
             return cand
     raise EmbeddingDefectError(
         "no rotation avoids both forbidden edges; please report this input"

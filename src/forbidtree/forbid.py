@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import Edge, EdgeSet, PointSet, convex_hull, edge_depth
+from .geometry import Edge, EdgeSet, PointSet, edge_depth, require_convex_position
 from .trees import Tree, spider_tree
 
 KIND_THREE_CONSECUTIVE = "three-consecutive-hull"
@@ -36,13 +36,6 @@ class ForbidConstruction:
         }
 
 
-def _require_convex(s: PointSet) -> list[int]:
-    hull = convex_hull(s)
-    if len(hull) != len(s):
-        raise ValueError("construction requires convex position")
-    return hull
-
-
 def three_consecutive_hull_edges(s: PointSet, start: int = 0) -> ForbidConstruction:
     """Three consecutive hull edges starting at a hull position.
 
@@ -52,7 +45,7 @@ def three_consecutive_hull_edges(s: PointSet, start: int = 0) -> ForbidConstruct
     n = len(s)
     if n < 5:
         raise ValueError("needs n >= 5")
-    hull = _require_convex(s)
+    hull = require_convex_position(s)
     edges = [
         Edge(hull[(start + i) % n], hull[(start + i + 1) % n])
         for i in range(3)
@@ -76,7 +69,7 @@ def three_pairs_consecutive_hull_edges(
     n = len(s)
     if n < 6:
         raise ValueError("needs n >= 6 for three disjoint pairs")
-    hull = _require_convex(s)
+    hull = require_convex_position(s)
     mids = tuple(m % n for m in middles)
     if len(set(mids)) != 3:
         raise ValueError("middle positions must be distinct")
@@ -116,7 +109,7 @@ def r_edge_blanket(s: PointSet, k: int) -> ForbidConstruction:
     n = len(s)
     if not (3 <= k <= n):
         raise ValueError("need 3 <= k <= n")
-    _require_convex(s)
+    require_convex_position(s)
     r = blanket_threshold(n, k)
     edges = [
         Edge(a, b)

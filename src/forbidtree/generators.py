@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 import random
 
-from .geometry import GeneralPositionError, PointSet, _direction, convex_hull
+from .geometry import GeneralPositionError, PointSet, _direction, is_convex_position
 
 CONVEX_RADIUS = 10**6
 RANDOM_SPAN = 10**6
@@ -39,7 +39,7 @@ def convex_points(n: int, seed: int = 1, radius: int = CONVEX_RADIUS) -> PointSe
             s = PointSet(coords)
         except GeneralPositionError:
             continue
-        if len(convex_hull(s)) == n:
+        if is_convex_position(s):
             return s
     raise GenerationError(f"no convex general-position set after {_MAX_ATTEMPTS} attempts")
 

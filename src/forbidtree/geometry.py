@@ -267,12 +267,11 @@ def is_convex_position(s: PointSet) -> bool:
     return len(s) >= 3 and len(convex_hull(s)) == len(s)
 
 
-def hull_position(s: PointSet) -> dict[int, int]:
-    """Map point index -> position along the hull order (convex sets)."""
-    hull = convex_hull(s)
-    if len(hull) != len(s):
+def require_convex_position(s: PointSet) -> list[int]:
+    """The hull order of a set in convex position; ValueError otherwise."""
+    if not is_convex_position(s):
         raise ValueError("point set is not in convex position")
-    return {idx: pos for pos, idx in enumerate(hull)}
+    return convex_hull(s)
 
 
 def angular_sort(s: PointSet, center: int, subset: Sequence[int]) -> list[int]:

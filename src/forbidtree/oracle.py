@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .embedding import Embedding
-from .geometry import Edge, EdgeSet, PointSet, convex_hull
+from .geometry import Edge, EdgeSet, PointSet, convex_hull, is_convex_position
 from .trees import Tree, all_trees, root_at
 
 DEFAULT_BUDGET = 10**8
@@ -224,16 +224,14 @@ def min_forbidden_set_size(
         raise ValueError("size_cap must be positive")
     trees = all_trees(k)
     edges = [Edge(a, b) for a in range(n) for b in range(a + 1, n)]
-    convex = len(convex_hull(s)) == n
-    positions = hull_pos = None
-    if convex:
-        hull = convex_hull(s)
-        hull_pos = {idx: p for p, idx in enumerate(hull)}
+    hull_pos = None
+    if is_convex_position(s):
+        hull_pos = {idx: p for p, idx in enumerate(convex_hull(s))}
     seen_classes: set = set()
     for m in range(1, min(size_cap, len(edges)) + 1):
         seen_classes.clear()
         for combo in itertools.combinations(edges, m):
-            if convex:
+            if hull_pos is not None:
                 key = _dihedral_canonical(hull_pos, n, combo)
                 if key in seen_classes:
                     continue

@@ -25,7 +25,7 @@ from .forbid import (
     upper_bound_value,
 )
 from .generators import convex_points, random_points
-from .geometry import Edge, EdgeSet, convex_hull
+from .geometry import Edge, EdgeSet, is_convex_position
 from .oracle import (
     SearchBudgetExceeded,
     exists_embedding,
@@ -156,9 +156,13 @@ def suite_two_edge_convex(ns: Sequence[int] = (5, 6, 7)) -> Iterator[CaseResult]
                 break
         yield CaseResult("two-edge-convex", {"n": n}, ok, note=note,
                          counters={"checked": checked})
-        res = min_forbidden_set_size(s, n, 3)
-        yield CaseResult("two-edge-convex", {"n": n, "min_forbidden": True},
-                         res is not None and res.size == 3,
+        params = {"n": n, "min_forbidden": True}
+        try:
+            res = min_forbidden_set_size(s, n, 3)
+        except SearchBudgetExceeded:
+            yield CaseResult("two-edge-convex", params, False, unknown=True)
+            continue
+        yield CaseResult("two-edge-convex", params, res is not None and res.size == 3,
                          counters={"found": res.size if res else 0})
 
 
@@ -225,18 +229,23 @@ def suite_bounds(n_max: int = 30,
         for seed in seeds:
             s = random_points(n, seed)
             ok = True
+            unknown = False
             note = ""
             for k in range(3, n + 1):
                 floor = math.ceil(turan_lower_bound(n, k))
                 if floor <= 1:
                     continue
-                res = min_forbidden_set_size(s, k, floor - 1)
+                try:
+                    res = min_forbidden_set_size(s, k, floor - 1)
+                except SearchBudgetExceeded:
+                    ok, unknown = False, True
+                    break
                 if res is not None:
                     ok = False
                     note = f"subset of size {res.size} < {floor} forbids k={k}"
                     break
             yield CaseResult("bounds", {"n": n, "seed": seed, "brute": True},
-                             ok, note=note)
+                             ok, unknown=unknown, note=note)
 
 
 def suite_bracket(ns: Sequence[int] = (5, 6),
@@ -249,12 +258,15 @@ def suite_bracket(ns: Sequence[int] = (5, 6),
     for n in ns:
         for seed in seeds:
             s = random_points(n, seed)
-            res = min_forbidden_set_size(s, n, 3)
+            try:
+                res = min_forbidden_set_size(s, n, 3)
+            except SearchBudgetExceeded:
+                yield CaseResult("bracket", {"n": n, "seed": seed}, False, unknown=True)
+                continue
             ok = res is not None and res.size in (2, 3)
             note = ""
             if res is not None and res.size == 2:
-                convex = len(convex_hull(s)) == n
-                shape = "convex" if convex else "NON-CONVEX"
+                shape = "convex" if is_convex_position(s) else "NON-CONVEX"
                 note = (f"NOTABLE: 2-edge forbidding set on {shape} set "
                         f"(n={n}, seed={seed}): {[e.to_json() for e in res.edges]} "
                         f"blocks tree {list(res.tree.edges)}")

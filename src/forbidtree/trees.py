@@ -6,7 +6,6 @@ encoding is stable across releases.
 """
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -199,74 +198,8 @@ def ahu_canonical(t: Tree) -> str:
     return min(_rooted_encoding(t, c) for c in _center_vertices(t))
 
 
-def _prufer_to_edges(seq: tuple[int, ...], k: int) -> list[tuple[int, int]]:
-    """Decode a Prufer sequence; repeatedly joins the smallest current leaf.
-
-    Pointer trick: consumed vertices drop to degree 0 so the forward scan
-    skips them; a vertex below the pointer that just became a leaf is used
-    immediately (it is smaller than every unscanned candidate).
-    """
-    degree = [1] * k
-    for x in seq:
-        degree[x] += 1
-    edges = []
-    ptr = 0
-    leaf = -1
-    for x in seq:
-        if leaf < 0:
-            while degree[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-            ptr += 1
-        edges.append((leaf, x))
-        degree[leaf] -= 1
-        degree[x] -= 1
-        leaf = x if (degree[x] == 1 and x < ptr) else -1
-    last = [v for v in range(k) if degree[v] == 1]
-    edges.append((last[0], last[1]))
-    return edges
-
-
-def _canon_from_edges(edges: list[tuple[int, int]], k: int) -> str:
-    adjacency: list[list[int]] = [[] for _ in range(k)]
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    # inline center finding + encoding on raw adjacency (hot path)
-    degree = [len(a) for a in adjacency]
-    layer = [v for v in range(k) if degree[v] == 1]
-    remaining = k
-    while remaining > 2:
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            for u in adjacency[v]:
-                degree[u] -= 1
-                if degree[u] == 1:
-                    nxt.append(u)
-            degree[v] = 0
-        layer = nxt
-
-    def enc(v: int, par: int) -> str:
-        subs = sorted(enc(u, v) for u in adjacency[v] if u != par)
-        return "(" + "".join(subs) + ")"
-
-    return min(enc(c, -1) for c in sorted(layer))
-
-
-def _all_trees_prufer(k: int) -> list[Tree]:
-    found: dict[str, Tree] = {}
-    if k == 2:
-        return [Tree(2, [(0, 1)])]
-    for seq in itertools.product(range(k), repeat=k - 2):
-        edges = _prufer_to_edges(seq, k)
-        canon = _canon_from_edges(edges, k)
-        if canon not in found:
-            found[canon] = Tree(k, edges)
-    return [found[c] for c in sorted(found)]
-
-
-def _all_trees_grow(k: int) -> list[Tree]:
+@lru_cache(maxsize=None)
+def _all_trees_grow(k: int) -> tuple[Tree, ...]:
     """Extend every (k-1)-vertex class by one leaf in every position.
 
     Every tree on k vertices arises from a tree on k-1 vertices by leaf
@@ -283,17 +216,7 @@ def _all_trees_grow(k: int) -> list[Tree]:
                 if canon not in nxt:
                     nxt[canon] = grown
         level = nxt
-    return [level[c] for c in sorted(level)]
-
-
-@lru_cache(maxsize=None)
-def _all_trees_cached(k: int) -> tuple[Tree, ...]:
-    # Brute Prufer enumeration is the reference route; for k >= 9 the
-    # k^(k-2) sequences are impractical in-process, so leaf growth (also
-    # exhaustive, cross-checked against the Prufer route in tests) is used.
-    if k <= 8:
-        return tuple(_all_trees_prufer(k))
-    return tuple(_all_trees_grow(k))
+    return tuple(level[c] for c in sorted(level))
 
 
 def all_trees(k: int) -> list[Tree]:
@@ -304,4 +227,4 @@ def all_trees(k: int) -> list[Tree]:
     """
     if not (2 <= k <= MAX_ENUM_VERTICES):
         raise ValueError(f"supported range is 2..{MAX_ENUM_VERTICES}")
-    return list(_all_trees_cached(k))
+    return list(_all_trees_grow(k))

@@ -1,8 +1,11 @@
 """Forbidden-edge avoidance: the single-edge repair hierarchy and the
 two-edge rotation scan, cross-checked against the search oracle."""
+import hashlib
 import itertools
+import json
 
 import pytest
+from prufer_reference import prufer_trees
 
 from forbidtree.embedding import (
     embed_avoiding_single,
@@ -129,3 +132,39 @@ def test_two_edges_requires_convex():
     if len(convex_hull(s)) < 6:
         with pytest.raises(ValueError):
             embed_convex_avoiding_two(all_trees(6)[0], s, Edge(0, 1), Edge(2, 3))
+
+
+# sha256 prefixes of the JSON list of assignments, taken before the repair
+# plan became one typed object; the trees come from the Prufer reference so
+# that the labels do not depend on the package's enumerator.
+PINNED_ASSIGNMENTS = {
+    ("single", "convex", 5): "adf406cf80582e27",
+    ("single", "random", 5): "8c6bb1641437cd79",
+    ("two", "convex", 5): "31925d99adae170a",
+    ("single", "convex", 6): "3ab407fd8ac1fab3",
+    ("single", "random", 6): "8aec0299463b0210",
+    ("two", "convex", 6): "9aa92ecd6a643719",
+    ("single", "convex", 7): "d51a03b52aeebbbc",
+    ("single", "random", 7): "b50ef38b139fe480",
+    ("two", "convex", 7): "46c1a0aa211cacc4",
+}
+
+
+def _digest(assignments):
+    return hashlib.sha256(json.dumps(assignments).encode()).hexdigest()[:16]
+
+
+def test_avoiding_assignments_are_pinned():
+    got = {}
+    for n in (5, 6, 7):
+        edges = all_edges(n)
+        trees = prufer_trees(n)
+        for mode, gen in (("convex", convex_points), ("random", random_points)):
+            s = gen(n, 1)
+            got[("single", mode, n)] = _digest(
+                [embed_avoiding_single(t, s, e).assignment for t in trees for e in edges])
+            if mode == "convex":
+                got[("two", mode, n)] = _digest(
+                    [embed_convex_avoiding_two(t, s, f1, f2).assignment
+                     for t in trees for f1, f2 in itertools.combinations(edges, 2)])
+    assert got == PINNED_ASSIGNMENTS

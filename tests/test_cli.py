@@ -1,7 +1,10 @@
+import functools
 import json
 
+from forbidtree import suites
 from forbidtree.cli import main
 from forbidtree.geometry import PointSet
+from forbidtree.oracle import min_forbidden_set_size
 
 
 def run(capsys, *argv):
@@ -129,6 +132,19 @@ def test_search_min(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert data["size"] == 3 and len(data["edges"]) == 3
+    # two points: the one edge forbids the one-edge tree
+    run(capsys, "gen", "--n", "2", "--mode", "random", "--out", str(pts))
+    code, out, _ = run(capsys, "search-min", "--points", str(pts), "--k", "2")
+    assert code == 0 and json.loads(out)["size"] == 1
+
+
+def test_search_min_budget_must_be_positive(tmp_path, capsys):
+    pts = tmp_path / "pts.json"
+    run(capsys, "gen", "--n", "5", "--mode", "convex", "--out", str(pts))
+    for budget in ("0", "-1"):
+        code, out, err = run(capsys, "search-min", "--points", str(pts), "--k", "5",
+                             "--budget", budget)
+        assert code == 2 and out == "" and "budget must be positive" in err
 
 
 def test_render_round_trip(tmp_path, capsys):
@@ -158,3 +174,17 @@ def test_verify_rejects_parameters_the_suite_does_not_take(capsys):
         assert code == 2
         assert out == ""
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def test_verify_budget_run_out_is_unknown(monkeypatch, capsys):
+    # 10 nodes leave at least one search in each suite without a verdict
+    monkeypatch.setattr(suites, "min_forbidden_set_size",
+                        functools.partial(min_forbidden_set_size, budget=10))
+    for argv in (("--suite", "bracket", "--n", "5", "--seeds", "1"),
+                 ("--suite", "two-edge-convex", "--n", "5"),
+                 ("--suite", "bounds", "--seeds", "1")):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 3, (argv, err)
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert any(case.get("unknown") for case in lines[:-1])
+        assert lines[-1]["failures"] == 0 and lines[-1]["unknown"] >= 1

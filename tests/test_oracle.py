@@ -126,11 +126,12 @@ def test_report_counters_and_json():
 
 
 def test_min_forbidden_k2_needs_every_edge():
-    s = random_points(4, seed=5)
-    res = min_forbidden_set_size(s, 2, size_cap=6)
-    assert res is not None
-    assert res.size == 6
-    assert set(res.edges) == set(complete_edge_set(4))
+    for n, seed in ((4, 5), (2, 1)):
+        s = random_points(n, seed=seed)
+        res = min_forbidden_set_size(s, 2, size_cap=6)
+        assert res is not None
+        assert res.size == n * (n - 1) // 2
+        assert set(res.edges) == set(complete_edge_set(n))
 
 
 def test_min_forbidden_convex_is_three():

@@ -1,11 +1,10 @@
 import itertools
 
 import pytest
+from prufer_reference import prufer_to_edges, prufer_trees
 
 from forbidtree.trees import (
     Tree,
-    _all_trees_grow,
-    _all_trees_prufer,
     ahu_canonical,
     all_trees,
     root_at,
@@ -123,8 +122,7 @@ def test_ahu_relabelings_equal():
 def test_ahu_matches_brute_force_on_five_vertices():
     labeled = []
     for seq in itertools.product(range(5), repeat=3):
-        from forbidtree.trees import _prufer_to_edges
-        labeled.append(Tree(5, _prufer_to_edges(seq, 5)))
+        labeled.append(Tree(5, prufer_to_edges(seq, 5)))
     assert len(labeled) == 125
     canons = {ahu_canonical(t) for t in labeled}
     assert len(canons) == 3
@@ -154,9 +152,10 @@ def test_all_trees_pairwise_distinct_and_contains_landmarks():
 
 
 def test_generation_routes_agree():
+    # same classes in the same order; representatives may be labelled differently
     for k in range(2, 8):
-        prufer = {ahu_canonical(t) for t in _all_trees_prufer(k)}
-        grown = {ahu_canonical(t) for t in _all_trees_grow(k)}
+        prufer = [ahu_canonical(t) for t in prufer_trees(k)]
+        grown = [ahu_canonical(t) for t in all_trees(k)]
         assert prufer == grown
 
 
