@@ -659,14 +659,17 @@ def rotate_embedding(emb: Embedding, i: int) -> Embedding:
     Only defined for convex position, where the rotation is an automorphism
     of the cyclic point order and therefore preserves planarity.
     """
-    s = emb.points
-    n = len(s)
-    hull = require_convex_position(s)
-    pos = {p: j for j, p in enumerate(hull)}
-    new_asg = tuple(hull[(pos[p] - i) % n] for p in emb.assignment)
-    out = Embedding(emb.tree, s, new_asg)
+    out = _rotated(emb, require_convex_position(emb.points), i)
     out.validate()
     return out
+
+
+def _rotated(emb: Embedding, hull: list[int], i: int) -> Embedding:
+    """emb shifted i places clockwise along the given hull order; not validated."""
+    n = len(hull)
+    pos = {p: j for j, p in enumerate(hull)}
+    asg = tuple(hull[(pos[p] - i) % n] for p in emb.assignment)
+    return Embedding(emb.tree, emb.points, asg)
 
 
 def embed_convex_avoiding_two(t: Tree, s: PointSet, f1: Edge, f2: Edge) -> Embedding:
@@ -685,9 +688,11 @@ def embed_convex_avoiding_two(t: Tree, s: PointSet, f1: Edge, f2: Edge) -> Embed
         if e.b >= n:
             raise IndexError(f"edge {e} out of range for {n} points")
     base = embed_few_hull_edges(t, s)
+    hull = convex_hull(s)
     for i in range(n):
-        cand = rotate_embedding(base, i)
+        cand = _rotated(base, hull, i)
         if not cand.uses_edge(f1) and not cand.uses_edge(f2):
+            cand.validate()  # the validated base rotated: the same crossings
             return cand
     raise EmbeddingDefectError(
         "no rotation avoids both forbidden edges; please report this input"

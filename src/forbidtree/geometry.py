@@ -153,7 +153,7 @@ class PointSet:
                     f"collinear triple at indices {i},{i + j + 1},{i + k + 1}")
         self._points = pts
         self._hull: tuple[int, ...] | None = None
-        self._cross_sets: dict[int, frozenset[int]] | None = None
+        self._crossing_masks: list[int] | None = None
 
     def __len__(self):
         return len(self._points)
@@ -183,23 +183,30 @@ class PointSet:
     def edge_id(self, e: Edge) -> int:
         return e.a * len(self) + e.b
 
-    def crossing_sets(self) -> dict[int, frozenset[int]]:
-        """For each edge id, the set of edge ids it properly crosses.
+    def crossing_sets(self) -> list[int]:
+        """For each ordered pair (u, v), the edges that edge uv properly crosses.
 
-        Computed lazily once per point set; used by the search oracle for
-        O(1)-ish incremental crossing checks.
+        A flat list indexed by ``u * n + v``, filled for both orders of each
+        pair (the ``u == v`` entries are 0). Each entry is an int bitmask
+        with bit ``edge_id(e)`` (``a * n + b``, a < b) set for every edge e
+        that uv crosses, so the search oracle tests a new edge against all
+        placed ones with one ``&``. Computed lazily once per point set.
         """
-        if self._cross_sets is None:
+        if self._crossing_masks is None:
             n = len(self)
-            all_edges = [Edge(a, b) for a in range(n) for b in range(a + 1, n)]
-            crossing: dict[int, set[int]] = {self.edge_id(e): set() for e in all_edges}
-            for i, e1 in enumerate(all_edges):
-                for e2 in all_edges[i + 1:]:
+            edges = [Edge(a, b) for a in range(n) for b in range(a + 1, n)]
+            masks = [0] * (n * n)
+            for i, e1 in enumerate(edges):
+                id1 = self.edge_id(e1)
+                for e2 in edges[i + 1:]:
                     if segments_cross(self, e1, e2):
-                        crossing[self.edge_id(e1)].add(self.edge_id(e2))
-                        crossing[self.edge_id(e2)].add(self.edge_id(e1))
-            self._cross_sets = {k: frozenset(v) for k, v in crossing.items()}
-        return self._cross_sets
+                        id2 = self.edge_id(e2)
+                        masks[id1] |= 1 << id2
+                        masks[id2] |= 1 << id1
+            for e in edges:
+                masks[e.b * n + e.a] = masks[e.a * n + e.b]
+            self._crossing_masks = masks
+        return self._crossing_masks
 
     def to_json(self) -> dict:
         return {"points": [[p.x, p.y] for p in self._points]}

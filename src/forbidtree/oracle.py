@@ -11,6 +11,7 @@ import itertools
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .embedding import Embedding
 from .geometry import Edge, EdgeSet, PointSet, convex_hull, is_convex_position
@@ -68,6 +69,12 @@ def _search_order(t: Tree, start: int | None = None) -> list[int]:
     return order
 
 
+@lru_cache(maxsize=None)
+def _edge_bits(n: int) -> tuple[int, ...]:
+    """Bit of edge {u, v} (id ``min * n + max``) at index u * n + v, both orders."""
+    return tuple(1 << (min(u, v) * n + max(u, v)) for u in range(n) for v in range(n))
+
+
 def exists_embedding(
     t: Tree,
     s: PointSet,
@@ -79,8 +86,10 @@ def exists_embedding(
 
     DFS over injective vertex-to-point assignments in a BFS vertex order, so
     each newly placed vertex adds exactly one drawn edge; branches are pruned
-    the moment that edge is forbidden or crosses an earlier one. Exhaustive
-    within the budget.
+    the moment that edge is forbidden or crosses an earlier one. The drawn
+    and the forbidden edges are int masks of edge ids, so a candidate edge
+    costs one row of ``s.crossing_sets()`` and two ``&`` tests. Points are
+    tried in ascending order. Exhaustive within the budget.
     """
     k, n = t.k, len(s)
     if k > n:
@@ -89,12 +98,14 @@ def exists_embedding(
         raise ValueError("budget must be positive")
     forbidden = forbidden or EdgeSet()
     forbidden.validate_for(s)
-    forb_ids = frozenset(s.edge_id(e) for e in forbidden)
+    forb_mask = 0
+    for e in forbidden:
+        forb_mask |= 1 << s.edge_id(e)
     start = time.perf_counter()
-    prunes = {"crossing": 0, "forbidden": 0}
 
     if k == 1:
         emb = Embedding(root_at(t, 0), s, (0,))
+        prunes = {"crossing": 0, "forbidden": 0}
         return SearchReport(True, emb, 1, prunes, time.perf_counter() - start)
 
     order = vertex_order if vertex_order is not None else _search_order(t)
@@ -110,47 +121,56 @@ def exists_embedding(
         parent_of[v] = earlier[0]
 
     cross = s.crossing_sets()
+    edge_bit = _edge_bits(n)
     asg = [-1] * k
     used = [False] * n
-    placed_ids: set[int] = set()
-    nodes = 0
+    nodes = crossing_prunes = forbidden_prunes = 0
+    last = k - 1
 
-    def edge_id(a: int, b: int) -> int:
-        return a * n + b if a < b else b * n + a
-
-    def dfs(i: int) -> bool:
-        nonlocal nodes
+    def dfs(i: int, placed: int) -> bool:
+        """Place order[i] (i >= 1) next to its placed parent; placed = drawn edge bits."""
+        nonlocal nodes, crossing_prunes, forbidden_prunes
         v = order[i]
-        par_pt = asg[parent_of[v]] if i > 0 else -1
+        row = asg[parent_of[v]] * n
         for pt in range(n):
             if used[pt]:
                 continue
             nodes += 1
             if nodes > budget:
                 raise SearchBudgetExceeded
-            eid = -1
-            if i > 0:
-                eid = edge_id(par_pt, pt)
-                if eid in forb_ids:
-                    prunes["forbidden"] += 1
-                    continue
-                if not cross[eid].isdisjoint(placed_ids):
-                    prunes["crossing"] += 1
-                    continue
-                placed_ids.add(eid)
+            bit = edge_bit[row + pt]
+            if forb_mask & bit:
+                forbidden_prunes += 1
+                continue
+            if cross[row + pt] & placed:
+                crossing_prunes += 1
+                continue
             used[pt] = True
             asg[v] = pt
-            if i + 1 == k or dfs(i + 1):
+            if i == last or dfs(i + 1, placed | bit):
                 return True
             used[pt] = False
-            if i > 0:
-                placed_ids.discard(eid)
+        return False
+
+    def search() -> bool:
+        nonlocal nodes
+        root = order[0]
+        for pt in range(n):
+            nodes += 1
+            if nodes > budget:
+                raise SearchBudgetExceeded
+            used[pt] = True
+            asg[root] = pt
+            if dfs(1, 0):
+                return True
+            used[pt] = False
         return False
 
     try:
-        found = dfs(0)
+        found = search()
     except SearchBudgetExceeded:
-        return SearchReport(None, None, nodes, prunes, time.perf_counter() - start)
+        found = None
+    prunes = {"crossing": crossing_prunes, "forbidden": forbidden_prunes}
     witness = None
     if found:
         witness = Embedding(root_at(t, order[0]), s, tuple(asg))
