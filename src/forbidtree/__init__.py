@@ -48,7 +48,6 @@ from .oracle import (
     exists_embedding,
     forbids,
     min_forbidden_set_size,
-    verify_construction,
 )
 from .svg import render_svg
 from .trees import (
@@ -106,5 +105,4 @@ __all__ = [
     "three_pairs_consecutive_hull_edges",
     "turan_lower_bound",
     "upper_bound_value",
-    "verify_construction",
 ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 from .geometry import (
@@ -21,7 +21,7 @@ from .geometry import (
     PointSet,
     angular_sort,
     convex_hull,
-    edge_depth,
+    hull_edges,
     polar_order,
     require_convex_position,
     segments_cross,
@@ -103,9 +103,8 @@ class Embedding:
         segs = self.segment_edges()
         if len(self.points) < 3:
             return len(segs)
-        hull = convex_hull(self.points)
-        hull_edges = {Edge(hull[i - 1], hull[i]) for i in range(len(hull))}
-        return sum(1 for e in segs if e in hull_edges)
+        hull = hull_edges(self.points)
+        return sum(1 for e in segs if e in hull)
 
     def uses_edge(self, e: Edge) -> bool:
         return e in set(self.segment_edges())
@@ -129,27 +128,22 @@ class Embedding:
         return out
 
 
-RootChoice = Callable[[PointSet], int]
 ChildChoice = Callable[[int, Sequence[int], Sequence[int]], int]
 
 
 def lowest_point_root(s: PointSet) -> int:
-    """Default root selector: lowest, then leftmost point (a hull vertex)."""
+    """Root point of every wedge run: lowest, then leftmost point (a hull vertex)."""
     return min(range(len(s)), key=lambda i: (s[i].y, s[i].x))
 
 
 def first_visible_child(apex: int, cell: Sequence[int], visible: Sequence[int]) -> int:
-    """Default child selector: the clockwise angular extreme of the cell.
+    """Child selector of the plain wedge run: the clockwise angular extreme of the cell.
 
     Candidates arrive in counter-clockwise order around the apex, so the
     first one is the clockwise-most visible hull vertex ("rightmost" as seen
     from the apex).
     """
     return visible[0]
-
-
-def last_visible_child(apex: int, cell: Sequence[int], visible: Sequence[int]) -> int:
-    return visible[-1]
 
 
 class Placement(Enum):
@@ -184,7 +178,6 @@ class _Engine:
         s: PointSet,
         rt: RootedTree,
         plan: RepairPlan,
-        root_choice: RootChoice,
         child_choice: ChildChoice,
         forbidden: Edge | None = None,
         trace: list[WedgePartition] | None = None,
@@ -195,7 +188,6 @@ class _Engine:
         self.avoid = plan.avoid
         self.placements = plan.placements
         self.root_anchor = plan.root_anchor
-        self.root_choice = root_choice
         self.child_choice = child_choice
         self.forbidden = forbidden
         self.trace = trace
@@ -211,7 +203,7 @@ class _Engine:
         if placement is Placement.STAR:
             self._place_star(root, None, list(range(len(self.s))))
             return self.asg
-        root_pt = self.root_choice(self.s)
+        root_pt = lowest_point_root(self.s)
         self.asg[root] = root_pt
         rest = [i for i in range(len(self.s)) if i != root_pt]
         self._place_children(root, root_pt, rest)
@@ -418,28 +410,18 @@ def _default_plan(rt: RootedTree) -> RepairPlan:
 def embed_recursive(
     rt: RootedTree,
     s: PointSet,
-    root_choice: RootChoice | None = None,
-    child_point_choice: ChildChoice | None = None,
     trace: list[WedgePartition] | None = None,
 ) -> Embedding:
     """Embed a spanning rooted tree with the recursive wedge algorithm.
 
-    The root maps to a hull point; each child maps to a hull vertex of its
-    angular block visible from its parent. Selector strategies are
-    injectable; defaults are the lowest point for the root and the clockwise
-    angular extreme for children.
+    The root maps to the lowest point, a hull vertex; each child maps to the
+    clockwise angular extreme among the hull vertices of its angular block
+    visible from its parent. A trace list, if given, receives every wedge
+    partition in placement order.
     """
     if rt.k != len(s):
         raise ValueError("tree and point set sizes differ")
-    engine = _Engine(
-        s,
-        rt,
-        _default_plan(rt),
-        root_choice or lowest_point_root,
-        child_point_choice or first_visible_child,
-        trace=trace,
-    )
-    asg = engine.run()
+    asg = _Engine(s, rt, _default_plan(rt), first_visible_child, trace=trace).run()
     emb = Embedding(rt, s, tuple(asg))
     emb.validate()
     return emb
@@ -473,10 +455,10 @@ def embed_avoiding_single(t: Tree, s: PointSet, e: Edge) -> Embedding:
         raise ValueError("single-edge avoidance is supported for n >= 5")
     if e.b >= n:
         raise IndexError(f"edge {e} out of range for {n} points")
-    rt = sort_children_by_subtree_size(root_at(t, 0), ascending=True)
+    rt = sort_children_by_subtree_size(root_at(t, 0))
     plan = _default_plan(rt)
     for _ in range(n * n):
-        asg = _Engine(s, rt, plan, lowest_point_root, first_visible_child, forbidden=e).run()
+        asg = _Engine(s, rt, plan, first_visible_child, forbidden=e).run()
         bad = _find_edge_use(rt, asg, e)
         if bad is None:
             emb = Embedding(rt, s, tuple(asg))
@@ -618,9 +600,11 @@ def _zigzag_path(t: Tree, s: PointSet) -> Embedding:
 
 
 def _hull_avoiding_choice(s: PointSet) -> ChildChoice:
+    on_hull = hull_edges(s)
+
     def choose(apex: int, cell: Sequence[int], visible: Sequence[int]) -> int:
         if len(visible) > 1:
-            off_hull = [q for q in visible if edge_depth(s, Edge(apex, q)) > 0]
+            off_hull = [q for q in visible if Edge(apex, q) not in on_hull]
             if off_hull:
                 return off_hull[0]
         return visible[0]
@@ -631,15 +615,17 @@ def _hull_avoiding_choice(s: PointSet) -> ChildChoice:
 def _few_hull_general(t: Tree, s: PointSet) -> Embedding:
     n = t.k
     root = min(v for v in range(n) if t.degree(v) >= 3)
-    rt = sort_children_by_subtree_size(root_at(t, root), ascending=True)
+    rt = sort_children_by_subtree_size(root_at(t, root))
     plan = _default_plan(rt)
     kids = plan.child_order[root]
     first_big = next(c for c in kids if rt.subtree_size[c] >= 2)
     kids.remove(first_big)
     kids.insert(0, first_big)
 
+    choose = _hull_avoiding_choice(s)
+
     def run() -> Embedding:
-        engine = _Engine(s, rt, plan, lowest_point_root, _hull_avoiding_choice(s))
+        engine = _Engine(s, rt, plan, choose)
         return Embedding(rt, s, tuple(engine.run()))
 
     emb = run()
@@ -672,6 +658,16 @@ def _rotated(emb: Embedding, hull: list[int], i: int) -> Embedding:
     return Embedding(emb.tree, emb.points, asg)
 
 
+@lru_cache(maxsize=1)
+def _few_hull_base(t: Tree, s: PointSet) -> Embedding:
+    """embed_few_hull_edges(t, s), kept for the next call on the same pair.
+
+    The base depends on neither forbidden edge, so a sweep over forbidden
+    pairs on one tree and set builds it once.
+    """
+    return embed_few_hull_edges(t, s)
+
+
 def embed_convex_avoiding_two(t: Tree, s: PointSet, f1: Edge, f2: Edge) -> Embedding:
     """Embed a spanning tree into convex position avoiding two forbidden edges.
 
@@ -687,7 +683,7 @@ def embed_convex_avoiding_two(t: Tree, s: PointSet, f1: Edge, f2: Edge) -> Embed
     for e in (f1, f2):
         if e.b >= n:
             raise IndexError(f"edge {e} out of range for {n} points")
-    base = embed_few_hull_edges(t, s)
+    base = _few_hull_base(t, s)
     hull = convex_hull(s)
     for i in range(n):
         cand = _rotated(base, hull, i)

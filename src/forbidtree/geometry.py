@@ -254,6 +254,12 @@ def convex_hull(s: PointSet) -> list[int]:
     return list(s._hull)
 
 
+def hull_edges(s: PointSet) -> frozenset[Edge]:
+    """Edges between consecutive vertices of convex_hull(s): the depth-0 edges."""
+    hull = convex_hull(s)
+    return frozenset(Edge(hull[i - 1], hull[i]) for i in range(len(hull)))
+
+
 def _chain_hull(s: PointSet, indices: Iterable[int]) -> list[int]:
     """Monotone chain over an index list (>= 3 entries) of s; CCW order."""
     order = sorted(indices, key=lambda i: (s[i].x, s[i].y))
@@ -281,6 +287,19 @@ def require_convex_position(s: PointSet) -> list[int]:
     return convex_hull(s)
 
 
+def _ccw_key(s: PointSet, center: int):
+    """Sort key ordering points counter-clockwise around center.
+
+    Only consistent on a set spanning less than pi as seen from center.
+    """
+    c = s[center]
+
+    def cmp(i: int, j: int) -> int:
+        return -orient(c, s[i], s[j])
+
+    return cmp_to_key(cmp)
+
+
 def angular_sort(s: PointSet, center: int, subset: Sequence[int]) -> list[int]:
     """Sort subset counter-clockwise by angle around a hull-vertex center.
 
@@ -293,11 +312,7 @@ def angular_sort(s: PointSet, center: int, subset: Sequence[int]) -> list[int]:
     if len(pts) <= 1:
         return pts
     c = s[center]
-
-    def cmp(i: int, j: int) -> int:
-        return -orient(c, s[i], s[j])
-
-    out = sorted(pts, key=cmp_to_key(cmp))
+    out = sorted(pts, key=_ccw_key(s, center))
     for a, b in zip(out, out[1:]):
         if orient(c, s[a], s[b]) != 1:
             raise ValueError("center is not a hull vertex of the combined set")
@@ -322,12 +337,9 @@ def polar_order(s: PointSet, center: int, subset: Sequence[int]) -> list[int]:
             upper.append(i)
         else:
             lower.append(i)
-
-    def cmp(i: int, j: int) -> int:
-        return -orient(c, s[i], s[j])
-
-    upper.sort(key=cmp_to_key(cmp))
-    lower.sort(key=cmp_to_key(cmp))
+    key = _ccw_key(s, center)
+    upper.sort(key=key)
+    lower.sort(key=key)
     return upper + lower
 
 

@@ -262,35 +262,3 @@ def min_forbidden_set_size(
                     return MinForbidResult(m, fset, t)
     return None
 
-
-def verify_construction(construction, s: PointSet, budget: int = DEFAULT_BUDGET) -> bool:
-    """Check a forbidding construction against the oracle.
-
-    For depth-blanket constructions with k < n this walks every k-point
-    subset and checks the target tree cannot embed into it avoiding the
-    blanket's induced edges (equivalent to the global search, but mirrors
-    the subset argument the construction is built on and localizes any
-    failure to a subset).
-    """
-    target = construction.target_tree
-    k = target.k
-    n = len(s)
-    construction.edges.validate_for(s)
-    if construction.kind == "r-edge-blanket" and k < n:
-        forb_pairs = {(e.a, e.b) for e in construction.edges}
-        for subset in itertools.combinations(range(n), k):
-            remap = {orig: i for i, orig in enumerate(subset)}
-            sub = s.subset(subset)
-            inside = set(subset)
-            induced = EdgeSet(
-                Edge(remap[a], remap[b])
-                for a, b in forb_pairs
-                if a in inside and b in inside
-            )
-            report = exists_embedding(target, sub, induced, budget)
-            if report.unknown:
-                raise SearchBudgetExceeded("subset verdict unknown")
-            if report.feasible:
-                return False
-        return True
-    return forbids(construction.edges, target, s, budget)

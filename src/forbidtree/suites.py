@@ -29,8 +29,8 @@ from .geometry import Edge, EdgeSet, is_convex_position
 from .oracle import (
     SearchBudgetExceeded,
     exists_embedding,
+    forbids,
     min_forbidden_set_size,
-    verify_construction,
 )
 from .trees import all_trees, root_at, spider_tree
 
@@ -172,7 +172,7 @@ def suite_conf3(ns: Sequence[int] = range(5, 10)) -> Iterator[CaseResult]:
         s = convex_points(n, seed=1)
         c = three_consecutive_hull_edges(s, start=0)
         try:
-            blocked = verify_construction(c, s)
+            blocked = forbids(c.edges, c.target_tree, s)
         except SearchBudgetExceeded:
             yield CaseResult("conf3", {"n": n}, False, unknown=True)
             continue
@@ -192,7 +192,7 @@ def suite_three_pairs(ns: Sequence[int] = range(6, 10)) -> Iterator[CaseResult]:
         mids = spread_middles(n)
         c = three_pairs_consecutive_hull_edges(s, mids)
         try:
-            blocked = verify_construction(c, s)
+            blocked = forbids(c.edges, c.target_tree, s)
         except SearchBudgetExceeded:
             yield CaseResult("three-pairs", {"n": n, "middles": list(mids)},
                              False, unknown=True)
@@ -208,7 +208,7 @@ def suite_blanket(pairs: Sequence[tuple[int, int]] = ((7, 4), (8, 5), (9, 5), (9
         c = r_edge_blanket(s, k)
         size_ok = len(c.edges) <= upper_bound_value(n, k)
         try:
-            blocked = verify_construction(c, s)
+            blocked = forbids(c.edges, c.target_tree, s)
         except SearchBudgetExceeded:
             yield CaseResult("blanket", {"n": n, "k": k}, False, unknown=True)
             continue

@@ -7,7 +7,7 @@ encoding is stable across releases.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable
 
@@ -90,15 +90,6 @@ class RootedTree:
     def k(self) -> int:
         return self.tree.k
 
-    def with_children(self, children: dict[int, list[int]]) -> "RootedTree":
-        """Copy with some vertices' child lists replaced (structure unchanged)."""
-        new = list(self.children)
-        for v, order in children.items():
-            if sorted(order) != sorted(new[v]):
-                raise ValueError("reordered children must be a permutation")
-            new[v] = tuple(order)
-        return RootedTree(self.tree, self.root, tuple(new), self.parent, self.subtree_size)
-
 
 def root_at(t: Tree, v: int) -> RootedTree:
     """Root the tree at v; children initially in ascending index order."""
@@ -131,15 +122,12 @@ def root_at(t: Tree, v: int) -> RootedTree:
     )
 
 
-def sort_children_by_subtree_size(rt: RootedTree, ascending: bool = True) -> RootedTree:
-    """Reorder every child list by subtree size; ties break by vertex index."""
-    new = {}
-    for v in range(rt.k):
-        kids = list(rt.children[v])
-        kids.sort(key=lambda c: (rt.subtree_size[c], c) if ascending
-                  else (-rt.subtree_size[c], c))
-        new[v] = kids
-    return rt.with_children(new)
+def sort_children_by_subtree_size(rt: RootedTree) -> RootedTree:
+    """Reorder every child list by ascending subtree size; ties break by vertex index."""
+    children = tuple(
+        tuple(sorted(kids, key=lambda c: (rt.subtree_size[c], c))) for kids in rt.children
+    )
+    return replace(rt, children=children)
 
 
 def spider_tree(n: int) -> Tree:

@@ -4,7 +4,6 @@ from forbidtree.embedding import (
     Embedding,
     embed_few_hull_edges,
     embed_recursive,
-    last_visible_child,
     lowest_point_root,
     rotate_embedding,
 )
@@ -80,14 +79,12 @@ def test_wedge_partition_invariants():
         assert left == cell[-1] and right == nxt[0]
 
 
-def test_determinism_and_selector_injection():
+def test_determinism():
     s = random_points(7, seed=5)
     t = all_trees(7)[3]
     e1 = embed_recursive(root_at(t, 0), s)
     e2 = embed_recursive(root_at(t, 0), s)
     assert e1.assignment == e2.assignment
-    e3 = embed_recursive(root_at(t, 0), s, child_point_choice=last_visible_child)
-    assert e3.crossing_count() == 0
 
 
 def test_embedding_validation_rejects_bad():

@@ -8,7 +8,6 @@ from forbidtree.oracle import (
     exists_embedding,
     forbids,
     min_forbidden_set_size,
-    verify_construction,
 )
 from forbidtree.trees import Tree, all_trees, spider_tree
 
@@ -154,23 +153,16 @@ def test_min_forbidden_range_checks():
         min_forbidden_set_size(random_points(5, seed=1), 1, 3)
 
 
-def test_verify_construction_consecutive_and_blanket():
+def test_forbids_consecutive_and_blanket():
     from forbidtree.forbid import r_edge_blanket
 
     for n in (5, 6, 7):
         s = convex_points(n, seed=1)
-        assert verify_construction(three_consecutive_hull_edges(s, 0), s)
+        c = three_consecutive_hull_edges(s, 0)
+        assert forbids(c.edges, c.target_tree, s)
     s = convex_points(8, seed=1)
-    assert verify_construction(r_edge_blanket(s, 5), s)
-
-
-def test_verify_construction_subset_route_matches_global():
-    from forbidtree.forbid import r_edge_blanket
-
-    s = convex_points(7, seed=1)
-    c = r_edge_blanket(s, 4)
-    # subset decomposition and the direct global search agree
-    assert verify_construction(c, s) == forbids(c.edges, c.target_tree, s)
+    c = r_edge_blanket(s, 5)
+    assert forbids(c.edges, c.target_tree, s)
 
 
 def test_size_mismatch_rejected():

@@ -13,9 +13,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from prufer_reference import prufer_trees
 
+from forbidtree.forbid import r_edge_blanket
 from forbidtree.generators import convex_points, random_points
 from forbidtree.geometry import Edge, EdgeSet, PointSet, convex_hull, segments_cross
-from forbidtree.oracle import exists_embedding
+from forbidtree.oracle import exists_embedding, forbids
 from forbidtree.trees import all_trees
 
 
@@ -99,6 +100,17 @@ def test_oracle_agrees_with_brute_force():
                     expected = brute_force_verdicts(t, s, forbidden_sets)
                     got = [exists_embedding(t, s, f).feasible for f in forbidden_sets]
                     assert got == expected, (n, k, t.edges)
+
+
+def test_blanket_matches_brute_force():
+    # One global search decides the blanket's subset argument: every k-vertex
+    # drawing lies on some k-subset, so no separate subset walk is needed.
+    for n, k in ((8, 5), (8, 6)):
+        s = convex_points(n, 1)
+        c = r_edge_blanket(s, k)
+        assert len(c.edges) < len(all_edges(n))
+        assert brute_force_verdicts(c.target_tree, s, [c.edges]) == [False]
+        assert forbids(c.edges, c.target_tree, s)
 
 
 coordinate = st.integers(-1000, 1000)

@@ -97,17 +97,15 @@ def test_root_spider_center():
 def test_sort_children():
     t = Tree(7, [(0, 1), (0, 2), (0, 3), (3, 4), (2, 5), (5, 6)])
     rt = root_at(t, 0)
-    by_size = sort_children_by_subtree_size(rt, ascending=True)
+    by_size = sort_children_by_subtree_size(rt)
     assert [rt.subtree_size[c] for c in by_size.children[0]] == [1, 2, 3]
-    desc = sort_children_by_subtree_size(rt, ascending=False)
-    assert [rt.subtree_size[c] for c in desc.children[0]] == [3, 2, 1]
     # underlying edges unchanged
     assert by_size.tree.edges == t.edges
 
 
 def test_sort_children_tie_break_by_index():
     t = Tree(4, [(0, 3), (0, 1), (0, 2)])
-    rt = sort_children_by_subtree_size(root_at(t, 0), ascending=True)
+    rt = sort_children_by_subtree_size(root_at(t, 0))
     assert rt.children[0] == (1, 2, 3)
 
 
