@@ -106,12 +106,15 @@ class Embedding:
         hull = hull_edges(self.points)
         return sum(1 for e in segs if e in hull)
 
+    @cached_property
+    def _used_edges(self) -> frozenset[Edge]:
+        return frozenset(self.segment_edges())
+
     def uses_edge(self, e: Edge) -> bool:
-        return e in set(self.segment_edges())
+        return e in self._used_edges
 
     def avoids(self, forbidden: EdgeSet | Sequence[Edge]) -> bool:
-        used = set(self.segment_edges())
-        return all(e not in used for e in forbidden)
+        return self._used_edges.isdisjoint(forbidden)
 
     def validate(self) -> None:
         crossings = self._crossings

@@ -7,14 +7,13 @@ conflated with infeasibility.
 """
 from __future__ import annotations
 
-import itertools
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .embedding import Embedding
-from .geometry import Edge, EdgeSet, PointSet, convex_hull, is_convex_position
+from .geometry import Edge, EdgeSet, PointSet
 from .trees import Tree, all_trees, root_at
 
 DEFAULT_BUDGET = 10**8
@@ -175,7 +174,8 @@ def exists_embedding(
     if found:
         witness = Embedding(root_at(t, order[0]), s, tuple(asg))
         witness.validate()
-        if not witness.avoids(forbidden):
+        # not avoids(): its cached edge set would live as long as the witness
+        if not forbidden.edges.isdisjoint(witness.segment_edges()):
             raise AssertionError("oracle witness uses a forbidden edge")
     return SearchReport(found, witness, nodes, prunes, time.perf_counter() - start)
 
@@ -193,34 +193,11 @@ def forbids(
     return not report.feasible
 
 
-MAX_SEARCH_POINTS = 7
-
-
 @dataclass(frozen=True)
 class MinForbidResult:
     size: int
     edges: EdgeSet
     tree: Tree
-
-
-def _dihedral_canonical(positions: dict[int, int], n: int, subset: tuple[Edge, ...]):
-    """Canonical form of an edge subset under hull rotations and reflections."""
-    pos_pairs = [(positions[e.a], positions[e.b]) for e in subset]
-    best = None
-    for r in range(n):
-        for refl in (False, True):
-            mapped = []
-            for a, b in pos_pairs:
-                if refl:
-                    a, b = (r - a) % n, (r - b) % n
-                else:
-                    a, b = (a + r) % n, (b + r) % n
-                mapped.append((a, b) if a < b else (b, a))
-            mapped.sort()
-            key = tuple(mapped)
-            if best is None or key < best:
-                best = key
-    return best
 
 
 def min_forbidden_set_size(
@@ -231,34 +208,51 @@ def min_forbidden_set_size(
 ) -> MinForbidResult | None:
     """Smallest edge subset (up to the cap) forbidding some k-vertex tree.
 
-    Enumerates subsets in size order; for convex inputs only one
-    representative per dihedral symmetry class of the hull order is tested.
-    Returns None when no subset within the cap forbids any tree.
+    An implicit hitting set search (Moreno-Centeno and Karp, 2013): F forbids
+    a tree iff it hits every plane drawing of it. For m = 1..cap and each tree
+    of ``all_trees(k)``, a depth-first search grows F from the empty set: it
+    takes a drawing avoiding F from the tree's pool of oracle witnesses, or
+    else from ``exists_embedding``; with none, F forbids the tree, otherwise
+    each edge of the drawing extends F, which reaches every forbidding set of
+    size m. The first set found is returned, not always the lexicographically
+    first. ``budget`` bounds each oracle call, and a run-out raises
+    SearchBudgetExceeded. Returns None when no set within the cap forbids.
     """
     n = len(s)
-    if n > MAX_SEARCH_POINTS:
-        raise ValueError(f"practical range is n <= {MAX_SEARCH_POINTS}")
     if not (2 <= k <= n):
         raise ValueError("need 2 <= k <= n")
     if size_cap < 1:
         raise ValueError("size_cap must be positive")
-    trees = all_trees(k)
     edges = [Edge(a, b) for a in range(n) for b in range(a + 1, n)]
-    hull_pos = None
-    if is_convex_position(s):
-        hull_pos = {idx: p for p, idx in enumerate(convex_hull(s))}
-    seen_classes: set = set()
-    for m in range(1, min(size_cap, len(edges)) + 1):
-        seen_classes.clear()
-        for combo in itertools.combinations(edges, m):
-            if hull_pos is not None:
-                key = _dihedral_canonical(hull_pos, n, combo)
-                if key in seen_classes:
-                    continue
-                seen_classes.add(key)
-            fset = EdgeSet(combo)
-            for t in trees:
-                if forbids(fset, t, s, budget):
-                    return MinForbidResult(m, fset, t)
-    return None
+    edge_of = {s.edge_id(e): e for e in edges}
 
+    def edge_set(f: int) -> EdgeSet:
+        return EdgeSet(e for i, e in edge_of.items() if f >> i & 1)
+
+    def grow(t: Tree, pool: list[int], f: int, depth: int) -> int | None:
+        """A forbidding edge mask of f plus at most depth edges, or None."""
+        w = next((w for w in pool if not w & f), None)
+        if w is None:
+            report = exists_embedding(t, s, edge_set(f), budget)
+            if report.unknown:
+                raise SearchBudgetExceeded(
+                    f"verdict unknown after {report.nodes_expanded} nodes")
+            if not report.feasible:
+                return f
+            w = sum(1 << s.edge_id(e) for e in report.witness.segment_edges())
+            pool.append(w)
+        while depth and w:
+            found = grow(t, pool, f | (w & -w), depth - 1)
+            if found is not None:
+                return found
+            w &= w - 1
+        return None
+
+    trees = all_trees(k)
+    pools: list[list[int]] = [[] for _ in trees]
+    for m in range(1, min(size_cap, len(edges)) + 1):
+        for t, pool in zip(trees, pools):
+            found = grow(t, pool, 0, m)
+            if found is not None:
+                return MinForbidResult(m, edge_set(found), t)
+    return None

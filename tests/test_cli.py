@@ -147,6 +147,15 @@ def test_search_min_budget_must_be_positive(tmp_path, capsys):
         assert code == 2 and out == "" and "budget must be positive" in err
 
 
+def test_search_min_budget_run_out_exits_3(tmp_path, capsys):
+    pts = tmp_path / "pts.json"
+    run(capsys, "gen", "--n", "7", "--seed", "1", "--mode", "random", "--out", str(pts))
+    code, out, err = run(capsys, "search-min", "--points", str(pts), "--k", "7",
+                         "--cap", "4", "--budget", "5")
+    assert code == 3 and out == ""
+    assert "budget exhausted" in err and "Traceback" not in err
+
+
 def test_render_round_trip(tmp_path, capsys):
     pts = tmp_path / "pts.json"
     emb = tmp_path / "emb.json"

@@ -147,10 +147,26 @@ def test_min_forbidden_none_within_cap():
 
 
 def test_min_forbidden_range_checks():
-    with pytest.raises(ValueError):
-        min_forbidden_set_size(random_points(8, seed=1), 4, 3)
+    # no point-count wall: eight points answer. Size 4 agrees with a brute
+    # force like test_oracle_reference.plane_drawings over all 23 trees (about
+    # 6 s, so checked once, not here).
+    s = random_points(8, seed=1)
+    res = min_forbidden_set_size(s, 8, 4)
+    assert res.size == 4 and forbids(res.edges, res.tree, s)
     with pytest.raises(ValueError):
         min_forbidden_set_size(random_points(5, seed=1), 1, 3)
+    with pytest.raises(ValueError):
+        min_forbidden_set_size(random_points(5, seed=1), 5, 0)
+
+
+def test_min_forbidden_budget_run_out_raises():
+    # each oracle call gets the budget; one run-out makes the whole answer
+    # unknown, never a size
+    s = random_points(7, seed=1)
+    for budget in (1, 10, 1000):
+        with pytest.raises(SearchBudgetExceeded):
+            min_forbidden_set_size(s, 7, 4, budget=budget)
+    assert min_forbidden_set_size(s, 7, 4, budget=10**4).size == 4
 
 
 def test_forbids_consecutive_and_blanket():

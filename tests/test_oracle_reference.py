@@ -2,8 +2,9 @@
 
 Pinned digests fix every report field (verdict, node and prune counts,
 witness) over small inputs; a brute force over all injective assignments
-checks the verdicts with ``segments_cross`` alone; and the bitmask crossing
-table is checked pair by pair against ``segments_cross``.
+checks the verdicts, and the minimum forbidding sizes, with ``segments_cross``
+alone; and the bitmask crossing table is checked pair by pair against
+``segments_cross``.
 """
 import hashlib
 import itertools
@@ -16,7 +17,7 @@ from prufer_reference import prufer_trees
 from forbidtree.forbid import r_edge_blanket
 from forbidtree.generators import convex_points, random_points
 from forbidtree.geometry import Edge, EdgeSet, PointSet, convex_hull, segments_cross
-from forbidtree.oracle import exists_embedding, forbids
+from forbidtree.oracle import exists_embedding, forbids, min_forbidden_set_size
 from forbidtree.trees import all_trees
 
 
@@ -79,15 +80,33 @@ def test_oracle_reports_are_pinned():
     assert pinned_reports() == PINNED_REPORTS
 
 
-def brute_force_verdicts(t, s, forbidden_sets):
-    """Feasibility for each forbidden set, from every injective assignment."""
+def plane_drawings(t, s):
+    """Edge sets of the plane drawings of t, from every injective assignment."""
+    edges = all_edges(len(s))
+    cross = {((e1.a, e1.b), (e2.a, e2.b)): segments_cross(s, e1, e2)
+             for e1 in edges for e2 in edges}
     plane = set()
     for asg in itertools.permutations(range(len(s)), t.k):
-        drawn = [Edge(asg[a], asg[b]) for a, b in t.edges]
-        if not any(segments_cross(s, e1, e2)
-                   for e1, e2 in itertools.combinations(drawn, 2)):
+        drawn = [(min(asg[a], asg[b]), max(asg[a], asg[b])) for a, b in t.edges]
+        if not any(cross[pair] for pair in itertools.combinations(drawn, 2)):
             plane.add(frozenset(drawn))
+    return {frozenset(Edge(a, b) for a, b in d) for d in plane}
+
+
+def brute_force_verdicts(t, s, forbidden_sets):
+    """Feasibility for each forbidden set, from every injective assignment."""
+    plane = plane_drawings(t, s)
     return [any(not (d & f.edges) for d in plane) for f in forbidden_sets]
+
+
+def min_hitting_size(drawings_per_tree, edges, cap):
+    """Fewest edges that hit every drawing of some tree, or None above the cap."""
+    for m in range(1, cap + 1):
+        for combo in itertools.combinations(edges, m):
+            hit = set(combo)
+            if any(all(d & hit for d in drawings) for drawings in drawings_per_tree):
+                return m
+    return None
 
 
 def test_oracle_agrees_with_brute_force():
@@ -111,6 +130,42 @@ def test_blanket_matches_brute_force():
         assert len(c.edges) < len(all_edges(n))
         assert brute_force_verdicts(c.target_tree, s, [c.edges]) == [False]
         assert forbids(c.edges, c.target_tree, s)
+
+
+def test_min_forbidden_matches_brute_force():
+    for n in (4, 5, 6):
+        for seed in (1, 2, 3):
+            for s in (convex_points(n, seed), random_points(n, seed)):
+                for k in range(2, n + 1):
+                    drawings = {t: plane_drawings(t, s) for t in all_trees(k)}
+                    expected = min_hitting_size(drawings.values(), all_edges(n), 3)
+                    for cap in (1, 2, 3):
+                        res = min_forbidden_set_size(s, k, cap)
+                        if expected is None or expected > cap:
+                            assert res is None, (n, seed, k, cap)
+                            continue
+                        assert res.size == len(res.edges) == expected, (n, seed, k, cap)
+                        assert all(d & res.edges.edges for d in drawings[res.tree])
+
+
+# (n, seed, k, cap) -> size. The n = 7 sizes agree with the brute force in
+# bench/checker.py; the n = 6 inputs are those of the benchmark's search-min
+# workload. test_min_forbidden_range_checks pins random_points(8, 1) at cap 4.
+PINNED_SIZES = {
+    (7, 1, 7, 4): 4, (7, 2, 7, 4): 3, (7, 3, 7, 4): 4, (7, 4, 7, 4): 4,
+    **{(6, 1000 + i, 6, 3): 3 for i in range(24)},
+}
+
+
+def test_min_forbidden_sizes_are_pinned():
+    got = {}
+    for n, seed, k, cap in PINNED_SIZES:
+        s = random_points(n, seed)
+        res = min_forbidden_set_size(s, k, cap)
+        got[n, seed, k, cap] = res.size
+        if n > 6:
+            assert all(d & res.edges.edges for d in plane_drawings(res.tree, s))
+    assert got == PINNED_SIZES
 
 
 coordinate = st.integers(-1000, 1000)
