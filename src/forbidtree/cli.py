@@ -20,7 +20,7 @@ from .embedding import (
 )
 from .forbid import r_edge_blanket, turan_lower_bound, upper_bound_value
 from .generators import convex_points, random_points
-from .geometry import EdgeSet, PointSet
+from .geometry import EdgeSet, PointSet, json_field, json_ints
 from .oracle import DEFAULT_BUDGET, SearchBudgetExceeded, min_forbidden_set_size
 from .suites import SUITES
 from .svg import render_svg
@@ -143,8 +143,9 @@ def cmd_bounds(args) -> int:
     if args.k < 3:
         print("k must be at least 3", file=sys.stderr)
         return 2
-    s = convex_points(args.n, seed=args.seed)
-    blanket = r_edge_blanket(s, args.k)
+    # On a convex set an edge's depth is fixed by its cyclic gap, so the
+    # blanket size depends on n and k only.
+    blanket = r_edge_blanket(convex_points(args.n), args.k)
     _emit({
         "n": args.n,
         "k": args.k,
@@ -183,8 +184,8 @@ def cmd_render(args) -> int:
                   file=sys.stderr)
             return 2
         t = _load_tree(args.tree)
-        data = _load_json(args.embedding)
-        emb = Embedding(root_at(t, 0), s, tuple(data["assignment"]))
+        assignment = json_ints(json_field(_load_json(args.embedding), "assignment"))
+        emb = Embedding(t, s, tuple(assignment))
     forbidden = None
     if args.forbidden:
         forbidden = EdgeSet.from_json(_load_json(args.forbidden))
@@ -225,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="exact bound values and blanket size")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bounds)
 

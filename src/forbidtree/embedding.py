@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .geometry import (
     Edge,
@@ -67,9 +67,13 @@ class WedgePartition:
 
 @dataclass(frozen=True)
 class Embedding:
-    """Injective map from tree vertices to point indices, drawn with segments."""
+    """Injective map from tree vertices to point indices, drawn with segments.
 
-    tree: RootedTree
+    The tree is the unrooted one: a drawing reads only its vertex count and
+    its edges, so the root and child order that built it are not kept.
+    """
+
+    tree: Tree
     points: PointSet
     assignment: tuple[int, ...]
 
@@ -87,7 +91,7 @@ class Embedding:
 
     def segment_edges(self) -> list[Edge]:
         """Point-index edges induced by the tree edges."""
-        return [Edge(self.assignment[u], self.assignment[v]) for u, v in self.tree.tree.edges]
+        return [Edge(self.assignment[u], self.assignment[v]) for u, v in self.tree.edges]
 
     @cached_property
     def _crossings(self) -> int:
@@ -131,22 +135,9 @@ class Embedding:
         return out
 
 
-ChildChoice = Callable[[int, Sequence[int], Sequence[int]], int]
-
-
 def lowest_point_root(s: PointSet) -> int:
     """Root point of every wedge run: lowest, then leftmost point (a hull vertex)."""
     return min(range(len(s)), key=lambda i: (s[i].y, s[i].x))
-
-
-def first_visible_child(apex: int, cell: Sequence[int], visible: Sequence[int]) -> int:
-    """Child selector of the plain wedge run: the clockwise angular extreme of the cell.
-
-    Candidates arrive in counter-clockwise order around the apex, so the
-    first one is the clockwise-most visible hull vertex ("rightmost" as seen
-    from the apex).
-    """
-    return visible[0]
 
 
 class Placement(Enum):
@@ -159,16 +150,21 @@ class Placement(Enum):
 
 @dataclass
 class RepairPlan:
-    """What the repair rounds of one wedge run may change; the engine only reads it.
+    """The whole policy of one wedge run; repair rounds change it, the engine only reads it.
 
+    A child goes to the first visible hull vertex of its block, in
+    counter-clockwise order around its parent (the clockwise extreme), that
+    the plan does not pass over:
     child_order: per-vertex child order, which fixes the order of the blocks.
     avoid: per-vertex points to pass over when the visible hull offers another.
+    avoid_edges: edges not to draw a child on when the points left offer another.
     placements: whole-subtree placements keyed by subtree root.
     root_anchor: the point of the center when the tree root is a SPIDER.
     """
 
     child_order: list[list[int]]
     avoid: dict[int, set[int]] = field(default_factory=dict)
+    avoid_edges: frozenset[Edge] = frozenset()
     placements: dict[int, Placement] = field(default_factory=dict)
     root_anchor: int | None = None
 
@@ -181,17 +177,12 @@ class _Engine:
         s: PointSet,
         rt: RootedTree,
         plan: RepairPlan,
-        child_choice: ChildChoice,
         forbidden: Edge | None = None,
         trace: list[WedgePartition] | None = None,
     ):
         self.s = s
         self.rt = rt
-        self.child_order = plan.child_order
-        self.avoid = plan.avoid
-        self.placements = plan.placements
-        self.root_anchor = plan.root_anchor
-        self.child_choice = child_choice
+        self.plan = plan
         self.forbidden = forbidden
         self.trace = trace
         self.asg = [-1] * rt.k
@@ -199,9 +190,9 @@ class _Engine:
 
     def run(self) -> list[int]:
         root = self.rt.root
-        placement = self.placements.get(root)
+        placement = self.plan.placements.get(root)
         if placement is Placement.SPIDER:
-            self._spider_from_root(self.root_anchor)
+            self._spider_from_root(self.plan.root_anchor)
             return self.asg
         if placement is Placement.STAR:
             self._place_star(root, None, list(range(len(self.s))))
@@ -213,7 +204,7 @@ class _Engine:
         return self.asg
 
     def _place_children(self, v: int, v_pt: int, cell: list[int]) -> None:
-        kids = self.child_order[v]
+        kids = self.plan.child_order[v]
         if not kids:
             if cell:
                 raise EmbeddingDefectError("leaf cell is not empty")
@@ -230,7 +221,7 @@ class _Engine:
         if self.trace is not None:
             self.trace.append(WedgePartition(v_pt, tuple(tuple(b) for b in blocks)))
         for c, block in zip(kids, blocks):
-            placement = self.placements.get(c)
+            placement = self.plan.placements.get(c)
             if placement is not None:
                 if placement is Placement.STAR:
                     self._place_star(c, v_pt, block)
@@ -240,9 +231,12 @@ class _Engine:
                     self._place_spider(c, v_pt, block)
                 continue
             visible = visible_hull_vertices(self.s, v_pt, block)
-            banned = self.avoid.get(c, ())
+            banned = self.plan.avoid.get(c, ())
             cand = [q for q in visible if q not in banned] or visible
-            c_pt = self.child_choice(v_pt, block, cand)
+            off = self.plan.avoid_edges
+            if off:
+                cand = [q for q in cand if Edge(v_pt, q) not in off] or cand
+            c_pt = cand[0]
             self.asg[c] = c_pt
             self.placed.append(Edge(v_pt, c_pt))
             self._place_children(c, c_pt, [x for x in block if x != c_pt])
@@ -264,7 +258,7 @@ class _Engine:
         if attach_pt is not None:
             self.placed.append(Edge(attach_pt, center))
         rest = sorted(x for x in block if x != center)
-        leaves = self.child_order[c]
+        leaves = self.plan.child_order[c]
         for leaf, pt in zip(leaves, rest):
             self.asg[leaf] = pt
             self.placed.append(Edge(center, pt))
@@ -288,8 +282,8 @@ class _Engine:
             head_pt, tail_pt = e.b, e.a
         else:
             raise EmbeddingDefectError("neither forbidden endpoint visible in 3-cell")
-        u = self.child_order[z][0]
-        v = self.child_order[u][0]
+        u = self.plan.child_order[z][0]
+        v = self.plan.child_order[u][0]
         self.asg[z] = head_pt
         self.asg[u] = third
         self.asg[v] = tail_pt
@@ -331,8 +325,8 @@ class _Engine:
             pairs = self._complete_spider(center, rest)
             if pairs is not None:
                 self.asg[z] = center
-                for (mid_pt, leaf_pt), c in zip(pairs, self.child_order[z]):
-                    leaf_v = self.child_order[c][0]
+                for (mid_pt, leaf_pt), c in zip(pairs, self.plan.child_order[z]):
+                    leaf_v = self.plan.child_order[c][0]
                     self.asg[c] = mid_pt
                     self.asg[leaf_v] = leaf_pt
                     self.placed += [Edge(center, mid_pt), Edge(mid_pt, leaf_pt)]
@@ -396,11 +390,11 @@ class _Engine:
         lst = others[cut:] + others[:cut]
         self.asg[rt.root] = p
         j = lst.index(q)
-        for i, c in enumerate(self.child_order[rt.root]):
+        for i, c in enumerate(self.plan.child_order[rt.root]):
             a, b = lst[2 * i], lst[2 * i + 1]
             if j == 2 * i:
                 a, b = b, a
-            leaf_v = self.child_order[c][0]
+            leaf_v = self.plan.child_order[c][0]
             self.asg[c] = a
             self.asg[leaf_v] = b
             self.placed += [Edge(p, a), Edge(a, b)]
@@ -424,8 +418,8 @@ def embed_recursive(
     """
     if rt.k != len(s):
         raise ValueError("tree and point set sizes differ")
-    asg = _Engine(s, rt, _default_plan(rt), first_visible_child, trace=trace).run()
-    emb = Embedding(rt, s, tuple(asg))
+    asg = _Engine(s, rt, _default_plan(rt), trace=trace).run()
+    emb = Embedding(rt.tree, s, tuple(asg))
     emb.validate()
     return emb
 
@@ -461,10 +455,10 @@ def embed_avoiding_single(t: Tree, s: PointSet, e: Edge) -> Embedding:
     rt = sort_children_by_subtree_size(root_at(t, 0))
     plan = _default_plan(rt)
     for _ in range(n * n):
-        asg = _Engine(s, rt, plan, first_visible_child, forbidden=e).run()
+        asg = _Engine(s, rt, plan, forbidden=e).run()
         bad = _find_edge_use(rt, asg, e)
         if bad is None:
-            emb = Embedding(rt, s, tuple(asg))
+            emb = Embedding(t, s, tuple(asg))
             emb.validate()
             return emb
         u, v = bad
@@ -599,20 +593,7 @@ def _zigzag_path(t: Tree, s: PointSet) -> Embedding:
             asg[v] = hull[hi]
             hi -= 1
         take_lo = not take_lo
-    return Embedding(root_at(t, ends[0]), s, tuple(asg))
-
-
-def _hull_avoiding_choice(s: PointSet) -> ChildChoice:
-    on_hull = hull_edges(s)
-
-    def choose(apex: int, cell: Sequence[int], visible: Sequence[int]) -> int:
-        if len(visible) > 1:
-            off_hull = [q for q in visible if Edge(apex, q) not in on_hull]
-            if off_hull:
-                return off_hull[0]
-        return visible[0]
-
-    return choose
+    return Embedding(t, s, tuple(asg))
 
 
 def _few_hull_general(t: Tree, s: PointSet) -> Embedding:
@@ -620,16 +601,14 @@ def _few_hull_general(t: Tree, s: PointSet) -> Embedding:
     root = min(v for v in range(n) if t.degree(v) >= 3)
     rt = sort_children_by_subtree_size(root_at(t, root))
     plan = _default_plan(rt)
+    plan.avoid_edges = hull_edges(s)
     kids = plan.child_order[root]
     first_big = next(c for c in kids if rt.subtree_size[c] >= 2)
     kids.remove(first_big)
     kids.insert(0, first_big)
 
-    choose = _hull_avoiding_choice(s)
-
     def run() -> Embedding:
-        engine = _Engine(s, rt, plan, choose)
-        return Embedding(rt, s, tuple(engine.run()))
+        return Embedding(t, s, tuple(_Engine(s, rt, plan).run()))
 
     emb = run()
     if emb.hull_edges_used() * 2 >= n:

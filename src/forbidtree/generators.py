@@ -19,7 +19,7 @@ class GenerationError(RuntimeError):
     """Raised when a valid point set cannot be produced within the attempt cap."""
 
 
-def convex_points(n: int, seed: int = 1, radius: int = CONVEX_RADIUS) -> PointSet:
+def convex_points(n: int, seed: int = 1) -> PointSet:
     """n integer points in convex position on a large circle.
 
     Angles are a jittered regular n-gon; rounding to integers can break
@@ -34,7 +34,8 @@ def convex_points(n: int, seed: int = 1, radius: int = CONVEX_RADIUS) -> PointSe
         coords = []
         for i in range(n):
             theta = spacing * i + rng.uniform(-0.3, 0.3) * spacing
-            coords.append((round(radius * math.cos(theta)), round(radius * math.sin(theta))))
+            coords.append((round(CONVEX_RADIUS * math.cos(theta)),
+                           round(CONVEX_RADIUS * math.sin(theta))))
         try:
             s = PointSet(coords)
         except GeneralPositionError:

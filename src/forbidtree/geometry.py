@@ -23,6 +23,23 @@ class GeneralPositionError(ValueError):
     """Raised when a point set violates the general-position contract."""
 
 
+def json_field(data, key: str, kind: type = list):
+    """data[key] of a decoded JSON object, of exactly the given type; ValueError otherwise."""
+    if not isinstance(data, dict) or key not in data:
+        raise ValueError(f"expected a JSON object with key {key!r}")
+    if type(data[key]) is not kind:
+        raise ValueError(f"{key!r} must be of type {kind.__name__}, got {data[key]!r}")
+    return data[key]
+
+
+def json_ints(value, count: int | None = None) -> list[int]:
+    """A decoded JSON list of integers (exactly count of them, if given); ValueError otherwise."""
+    if (not isinstance(value, (list, tuple)) or count not in (None, len(value))
+            or any(type(x) is not int for x in value)):
+        raise ValueError(f"expected {count or 'a list of'} integers, got {value!r}")
+    return list(value)
+
+
 def _direction(dx: int, dy: int) -> tuple[int, int]:
     """Primitive direction of a nonzero vector, up to sign (equal iff parallel)."""
     g = math.gcd(dx, dy)
@@ -82,8 +99,7 @@ class Edge:
 
     @classmethod
     def from_json(cls, data: Sequence[int]) -> "Edge":
-        a, b = data
-        return cls(int(a), int(b))
+        return cls(*json_ints(data, 2))
 
 
 class EdgeSet:
@@ -125,7 +141,7 @@ class EdgeSet:
 
     @classmethod
     def from_json(cls, data: dict) -> "EdgeSet":
-        return cls(Edge.from_json(pair) for pair in data["edges"])
+        return cls(Edge.from_json(pair) for pair in json_field(data, "edges"))
 
 
 class PointSet:
@@ -213,7 +229,7 @@ class PointSet:
 
     @classmethod
     def from_json(cls, data: dict) -> "PointSet":
-        return cls((int(x), int(y)) for x, y in data["points"])
+        return cls(tuple(json_ints(p, 2)) for p in json_field(data, "points"))
 
 
 def segments_cross(s: PointSet, e1: Edge, e2: Edge) -> bool:

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .embedding import Embedding
 from .geometry import Edge, EdgeSet, PointSet
-from .trees import Tree, all_trees, root_at
+from .trees import Tree, all_trees
 
 DEFAULT_BUDGET = 10**8
 
@@ -51,10 +51,9 @@ class SearchReport:
         }
 
 
-def _search_order(t: Tree, start: int | None = None) -> list[int]:
+def _search_order(t: Tree) -> list[int]:
     """BFS order from a max-degree vertex: early placements constrain most edges."""
-    if start is None:
-        start = min(range(t.k), key=lambda v: (-t.degree(v), v))
+    start = min(range(t.k), key=lambda v: (-t.degree(v), v))
     order = []
     seen = {start}
     queue = deque([start])
@@ -103,7 +102,7 @@ def exists_embedding(
     start = time.perf_counter()
 
     if k == 1:
-        emb = Embedding(root_at(t, 0), s, (0,))
+        emb = Embedding(t, s, (0,))
         prunes = {"crossing": 0, "forbidden": 0}
         return SearchReport(True, emb, 1, prunes, time.perf_counter() - start)
 
@@ -172,7 +171,7 @@ def exists_embedding(
     prunes = {"crossing": crossing_prunes, "forbidden": forbidden_prunes}
     witness = None
     if found:
-        witness = Embedding(root_at(t, order[0]), s, tuple(asg))
+        witness = Embedding(t, s, tuple(asg))
         witness.validate()
         # not avoids(): its cached edge set would live as long as the witness
         if not forbidden.edges.isdisjoint(witness.segment_edges()):

@@ -18,6 +18,7 @@ from .embedding import (
     embed_recursive,
 )
 from .forbid import (
+    ForbidConstruction,
     r_edge_blanket,
     three_consecutive_hull_edges,
     three_pairs_consecutive_hull_edges,
@@ -25,7 +26,7 @@ from .forbid import (
     upper_bound_value,
 )
 from .generators import convex_points, random_points
-from .geometry import Edge, EdgeSet, is_convex_position
+from .geometry import Edge, EdgeSet, PointSet, is_convex_position
 from .oracle import (
     SearchBudgetExceeded,
     exists_embedding,
@@ -33,6 +34,12 @@ from .oracle import (
     min_forbidden_set_size,
 )
 from .trees import all_trees, root_at, spider_tree
+
+# The (n, k) blanket cases, and the bound checks: exact values up to
+# BOUNDS_N_MAX, brute-force minima at BRUTE_NS.
+BLANKET_PAIRS = ((7, 4), (8, 5), (9, 5), (9, 6))
+BOUNDS_N_MAX = 30
+BRUTE_NS = (5, 6)
 
 
 @dataclass
@@ -60,6 +67,38 @@ def spread_middles(n: int) -> tuple[int, int, int]:
     return (0, math.ceil(n / 3), math.ceil(2 * n / 3))
 
 
+def _check_avoidance(embed, s: PointSet, cases) -> tuple[str, int]:
+    """Run embed(t, s, *edges) for each (t, edges) case up to the first failure.
+
+    A case fails when the embedder raises, draws a forbidden edge or a
+    crossing, or when the oracle finds no drawing that avoids the edges.
+    Returns the failure note ("" if none) and the number of cases run.
+    """
+    checked = 0
+    for t, edges in cases:
+        checked += 1
+        try:
+            emb = embed(t, s, *edges)
+        except Exception as ex:  # noqa: BLE001 - suite reports, never hides
+            return f"{type(ex).__name__}: {ex}", checked
+        forbidden = EdgeSet(edges)
+        if not emb.avoids(forbidden) or emb.crossing_count() != 0:
+            return "invalid avoiding embedding", checked
+        if exists_embedding(t, s, forbidden).feasible is not True:
+            return "oracle disagrees", checked
+    return "", checked
+
+
+def _blocking_case(suite: str, params: dict, c: ForbidConstruction, s: PointSet,
+                   ok: bool = True, counters: dict | None = None) -> CaseResult:
+    """The case that c blocks its target tree on s (and that ok holds); unknown on a run-out."""
+    try:
+        blocked = forbids(c.edges, c.target_tree, s)
+    except SearchBudgetExceeded:
+        return CaseResult(suite, params, False, unknown=True)
+    return CaseResult(suite, params, blocked and ok, counters=counters or {})
+
+
 def suite_baseline(ns: Sequence[int] = range(5, 9),
                    seeds: Sequence[int] = range(1, 21)) -> Iterator[CaseResult]:
     """Every tree embeds into every seeded general-position set, crossing-free."""
@@ -84,32 +123,11 @@ def suite_single_edge(ns: Sequence[int] = range(5, 8),
         edges = [Edge(a, b) for a in range(n) for b in range(a + 1, n)]
         for mode, gen in (("convex", convex_points), ("random", random_points)):
             for seed in seeds:
-                s = gen(n, seed)
-                ok = True
-                checked = 0
-                note = ""
-                for t in trees:
-                    for e in edges:
-                        checked += 1
-                        try:
-                            emb = embed_avoiding_single(t, s, e)
-                        except Exception as ex:  # noqa: BLE001 - suite reports, never hides
-                            ok = False
-                            note = f"{type(ex).__name__}: {ex}"
-                            break
-                        if emb.uses_edge(e) or emb.crossing_count() != 0:
-                            ok = False
-                            note = "invalid avoiding embedding"
-                            break
-                        oracle = exists_embedding(t, s, EdgeSet([e]))
-                        if oracle.feasible is not True:
-                            ok = False
-                            note = "oracle disagrees"
-                            break
-                    if not ok:
-                        break
+                note, checked = _check_avoidance(
+                    embed_avoiding_single, gen(n, seed),
+                    ((t, (e,)) for t in trees for e in edges))
                 yield CaseResult("single-edge", {"n": n, "mode": mode, "seed": seed},
-                                 ok, note=note, counters={"checked": checked})
+                                 not note, note=note, counters={"checked": checked})
 
 
 def suite_few_hull(ns: Sequence[int] = range(5, 10)) -> Iterator[CaseResult]:
@@ -133,28 +151,10 @@ def suite_two_edge_convex(ns: Sequence[int] = (5, 6, 7)) -> Iterator[CaseResult]
     for n in ns:
         s = convex_points(n, seed=1)
         edges = [Edge(a, b) for a in range(n) for b in range(a + 1, n)]
-        trees = all_trees(n)
-        ok = True
-        note = ""
-        checked = 0
-        for t in trees:
-            for f1, f2 in itertools.combinations(edges, 2):
-                checked += 1
-                try:
-                    emb = embed_convex_avoiding_two(t, s, f1, f2)
-                except Exception as ex:  # noqa: BLE001
-                    ok, note = False, f"{type(ex).__name__}: {ex}"
-                    break
-                if emb.uses_edge(f1) or emb.uses_edge(f2) or emb.crossing_count():
-                    ok, note = False, "invalid avoiding embedding"
-                    break
-                oracle = exists_embedding(t, s, EdgeSet([f1, f2]))
-                if oracle.feasible is not True:
-                    ok, note = False, "oracle disagrees"
-                    break
-            if not ok:
-                break
-        yield CaseResult("two-edge-convex", {"n": n}, ok, note=note,
+        note, checked = _check_avoidance(
+            embed_convex_avoiding_two, s,
+            ((t, pair) for t in all_trees(n) for pair in itertools.combinations(edges, 2)))
+        yield CaseResult("two-edge-convex", {"n": n}, not note, note=note,
                          counters={"checked": checked})
         params = {"n": n, "min_forbidden": True}
         try:
@@ -171,12 +171,10 @@ def suite_conf3(ns: Sequence[int] = range(5, 10)) -> Iterator[CaseResult]:
     for n in ns:
         s = convex_points(n, seed=1)
         c = three_consecutive_hull_edges(s, start=0)
-        try:
-            blocked = forbids(c.edges, c.target_tree, s)
-        except SearchBudgetExceeded:
-            yield CaseResult("conf3", {"n": n}, False, unknown=True)
+        case = _blocking_case("conf3", {"n": n}, c, s)
+        yield case
+        if case.unknown:
             continue
-        yield CaseResult("conf3", {"n": n}, blocked)
         for drop in c.edges:
             rest = EdgeSet(e for e in c.edges if e != drop)
             rep = exists_embedding(spider_tree(n), s, rest)
@@ -191,41 +189,27 @@ def suite_three_pairs(ns: Sequence[int] = range(6, 10)) -> Iterator[CaseResult]:
         s = convex_points(n, seed=1)
         mids = spread_middles(n)
         c = three_pairs_consecutive_hull_edges(s, mids)
-        try:
-            blocked = forbids(c.edges, c.target_tree, s)
-        except SearchBudgetExceeded:
-            yield CaseResult("three-pairs", {"n": n, "middles": list(mids)},
-                             False, unknown=True)
-            continue
-        yield CaseResult("three-pairs", {"n": n, "middles": list(mids)}, blocked)
+        yield _blocking_case("three-pairs", {"n": n, "middles": list(mids)}, c, s)
 
 
-def suite_blanket(pairs: Sequence[tuple[int, int]] = ((7, 4), (8, 5), (9, 5), (9, 6))
-                  ) -> Iterator[CaseResult]:
+def suite_blanket() -> Iterator[CaseResult]:
     """The depth blanket blocks the k-spider on every k-subset, within size bound."""
-    for n, k in pairs:
+    for n, k in BLANKET_PAIRS:
         s = convex_points(n, seed=1)
         c = r_edge_blanket(s, k)
-        size_ok = len(c.edges) <= upper_bound_value(n, k)
-        try:
-            blocked = forbids(c.edges, c.target_tree, s)
-        except SearchBudgetExceeded:
-            yield CaseResult("blanket", {"n": n, "k": k}, False, unknown=True)
-            continue
-        yield CaseResult("blanket", {"n": n, "k": k}, blocked and size_ok,
-                         counters={"edges": len(c.edges),
-                                   "threshold": c.params["threshold"]})
+        yield _blocking_case("blanket", {"n": n, "k": k}, c, s,
+                             ok=len(c.edges) <= upper_bound_value(n, k),
+                             counters={"edges": len(c.edges),
+                                       "threshold": c.params["threshold"]})
 
 
-def suite_bounds(n_max: int = 30,
-                 brute_ns: Sequence[int] = (5, 6),
-                 seeds: Sequence[int] = range(1, 6)) -> Iterator[CaseResult]:
+def suite_bounds(seeds: Sequence[int] = range(1, 6)) -> Iterator[CaseResult]:
     """Lower bound never exceeds upper bound; small point sets respect the floor."""
-    for n in range(5, n_max + 1):
+    for n in range(5, BOUNDS_N_MAX + 1):
         ok = all(turan_lower_bound(n, k) <= upper_bound_value(n, k)
                  for k in range(3, n + 1))
         yield CaseResult("bounds", {"n": n}, ok)
-    for n in brute_ns:
+    for n in BRUTE_NS:
         for seed in seeds:
             s = random_points(n, seed)
             ok = True

@@ -11,6 +11,8 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable
 
+from .geometry import json_field, json_ints
+
 MAX_ENUM_VERTICES = 10
 
 
@@ -73,7 +75,8 @@ class Tree:
 
     @classmethod
     def from_json(cls, data: dict) -> "Tree":
-        return cls(int(data["k"]), [(int(u), int(v)) for u, v in data["edges"]])
+        edges = [tuple(json_ints(e, 2)) for e in json_field(data, "edges")]
+        return cls(json_field(data, "k", int), edges)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """Prufer-sequence tree enumeration: the independent reference for all_trees.
 
-Decoding all k^(k-2) labelled trees and keeping the first of each
-isomorphism class is slow (seconds at k = 8) but shares no logic with the
-leaf-growth enumerator in the package, so tests compare the two.
+Decoding the k^(k-2) labelled trees in sequence order and keeping the
+first of each isomorphism class shares no logic with the leaf-growth
+enumerator in the package, so tests compare the two. Decoding stops once
+every class is seen; the class counts are the published ones (OEIS A000055),
+so the stop does not depend on the package either.
 """
 from __future__ import annotations
 
@@ -10,6 +12,9 @@ import itertools
 from functools import lru_cache
 
 from forbidtree.trees import Tree, ahu_canonical
+
+# Trees on k unlabelled vertices, k = 2..10 (OEIS A000055).
+TREE_COUNTS = {2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
 
 
 def prufer_to_edges(seq: tuple[int, ...], k: int) -> list[tuple[int, int]]:
@@ -49,4 +54,6 @@ def prufer_trees(k: int) -> tuple[Tree, ...]:
     for seq in itertools.product(range(k), repeat=k - 2):
         t = Tree(k, prufer_to_edges(seq, k))
         found.setdefault(ahu_canonical(t), t)
+        if len(found) == TREE_COUNTS[k]:
+            break
     return tuple(found[c] for c in sorted(found))

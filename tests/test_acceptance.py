@@ -76,12 +76,12 @@ def test_criterion_06_three_pairs():
 
 def test_criterion_07_blanket_upper_bound():
     _run_suite(7, "depth blanket blocks the k-spider on all k-subsets, within size bound",
-               suite_blanket(pairs=((7, 4), (8, 5), (9, 5), (9, 6))))
+               suite_blanket())
 
 
 def test_criterion_08_bound_consistency():
     _run_suite(8, "lower <= upper for 5<=n<=30; brute minimum respects the floor",
-               suite_bounds(n_max=30, brute_ns=(5, 6), seeds=range(1, 6)))
+               suite_bounds(seeds=range(1, 6)))
 
 
 def test_criterion_09_spanning_bracket():

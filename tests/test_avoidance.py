@@ -168,3 +168,22 @@ def test_avoiding_assignments_are_pinned():
                     [embed_convex_avoiding_two(t, s, f1, f2).assignment
                      for t in trees for f1, f2 in itertools.combinations(edges, 2)])
     assert got == PINNED_ASSIGNMENTS
+
+
+# The spider repair on n = 9 inputs that no smaller sweep reaches: the
+# first two fall back from the parity anchor to later ones, the last two
+# take the second and third parity branches. Assignments taken before the
+# engine took its child choice from the repair plan.
+SPIDER_REPAIR = Tree(9, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (5, 7), (6, 8)])
+PINNED_SPIDER_REPAIRS = [
+    (convex_points, 1, Edge(3, 4), (7, 4, 8, 0, 1, 2, 5, 3, 6)),
+    (random_points, 1, Edge(0, 8), (2, 5, 7, 1, 6, 0, 3, 4, 8)),
+    (random_points, 2, Edge(2, 7), (1, 8, 6, 0, 5, 2, 3, 4, 7)),
+]
+
+
+@pytest.mark.parametrize("gen,seed,e,expected", PINNED_SPIDER_REPAIRS)
+def test_spider_repair_fallbacks_are_pinned(gen, seed, e, expected):
+    emb = embed_avoiding_single(SPIDER_REPAIR, gen(9, seed), e)
+    assert emb.assignment == expected
+    assert not emb.uses_edge(e) and emb.crossing_count() == 0

@@ -1,6 +1,8 @@
 import functools
 import json
 
+import pytest
+
 from forbidtree import suites
 from forbidtree.cli import main
 from forbidtree.geometry import PointSet
@@ -91,6 +93,31 @@ def test_embed_invalid_json_is_input_error(tmp_path, capsys):
     code, _, err = run(capsys, "embed", "--tree", "spider:5", "--points", str(bad))
     assert code == 2
     assert "input error" in err
+
+
+GOOD_FILES = {"points.json": {"points": [[0, 0], [5, 1], [2, 7]]},
+              "tree.json": {"k": 3, "edges": [[0, 1], [1, 2]]},
+              "emb.json": {"assignment": [0, 1, 2]}}
+EMBED = "embed --tree tree.json --points points.json"
+
+
+@pytest.mark.parametrize("argv,bad", [
+    (EMBED, {"points.json": {}}),
+    ("search-min --k 3 --points points.json", {"points.json": {}}),
+    (EMBED + " --forbidden forb.json", {"forb.json": {"edges": 5}}),
+    (EMBED, {"points.json": {"points": [[0.6, 0], [5, 1.2], [2, 7.9]]}}),
+    (EMBED, {"tree.json": {"k": 3.0, "edges": [[0, 1], [1, 2]]}}),
+    ("render --points points.json --tree tree.json --embedding emb.json --svg out.svg",
+     {"emb.json": {"assignment": [0, True, 2]}}),
+])
+def test_malformed_json_is_input_error(tmp_path, monkeypatch, capsys, argv, bad):
+    monkeypatch.chdir(tmp_path)
+    for name, data in {**GOOD_FILES, **bad}.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert err.startswith("input error") and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_verify_suite_pass_and_exit_codes(tmp_path, capsys):

@@ -1,4 +1,8 @@
+import hashlib
+import json
+
 import pytest
+from prufer_reference import prufer_trees
 
 from forbidtree.embedding import (
     Embedding,
@@ -91,9 +95,9 @@ def test_embedding_validation_rejects_bad():
     s = PointSet([(0, 0), (5, 1), (2, 4)])
     t = Tree(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError):
-        Embedding(root_at(t, 0), s, (0, 0, 1))
+        Embedding(t, s, (0, 0, 1))
     with pytest.raises(ValueError):
-        Embedding(root_at(t, 0), s, (0, 1))
+        Embedding(t, s, (0, 1))
 
 
 def test_rotate_identity_and_full_turn():
@@ -187,3 +191,43 @@ def test_crossings_computed_once(monkeypatch):
     fresh.to_json()
     assert fresh.crossing_count() == 0
     assert len(calls) == first
+
+
+# sha256 prefixes of the JSON list of assignments, taken before the engine
+# took its child choice from the repair plan. The trees come from the Prufer
+# reference, so the labels do not depend on the package's enumerator; n = 9
+# uses all_trees(9), since the reference decode takes seconds there.
+PINNED_WEDGE = {
+    ("recursive", "convex", 5): "62e891bc46aa973c",
+    ("recursive", "random", 5): "f7f3951c2ea83ab3",
+    ("recursive", "convex", 6): "7f1823032bce182d",
+    ("recursive", "random", 6): "f421db2d2b1dcef7",
+    ("recursive", "convex", 7): "63bf03c2b4a8800f",
+    ("recursive", "random", 7): "db8d119dde96df47",
+    ("recursive", "convex", 8): "c9afaea054f05ca9",
+    ("recursive", "random", 8): "686acafa1b04be8d",
+    ("few-hull", "convex", 5): "d5ab5feea5713e56",
+    ("few-hull", "convex", 6): "0dfcf3c9f8639e2b",
+    ("few-hull", "convex", 7): "179ed9954a16c041",
+    ("few-hull", "convex", 8): "113ad6bb55cfd68a",
+    ("few-hull", "convex", 9): "26e287445b7ecdfc",
+}
+
+
+def _digest(assignments):
+    return hashlib.sha256(json.dumps(assignments).encode()).hexdigest()[:16]
+
+
+def test_wedge_assignments_are_pinned():
+    got = {}
+    for n in range(5, 9):
+        trees = prufer_trees(n)
+        for mode, gen in (("convex", convex_points), ("random", random_points)):
+            s = gen(n, 1)
+            got[("recursive", mode, n)] = _digest(
+                [embed_recursive(root_at(t, r), s).assignment for t in trees for r in range(n)])
+    for n in range(5, 10):
+        trees = prufer_trees(n) if n < 9 else all_trees(9)
+        got[("few-hull", "convex", n)] = _digest(
+            [embed_few_hull_edges(t, convex_points(n, 1)).assignment for t in trees])
+    assert got == PINNED_WEDGE

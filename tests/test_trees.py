@@ -151,7 +151,7 @@ def test_all_trees_pairwise_distinct_and_contains_landmarks():
 
 def test_generation_routes_agree():
     # same classes in the same order; representatives may be labelled differently
-    for k in range(2, 8):
+    for k in range(2, 9):
         prufer = [ahu_canonical(t) for t in prufer_trees(k)]
         grown = [ahu_canonical(t) for t in all_trees(k)]
         assert prufer == grown
