@@ -9,11 +9,10 @@ with crossings or a forbidden edge.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .geometry import (
     Edge,
@@ -21,10 +20,10 @@ from .geometry import (
     PointSet,
     angular_sort,
     convex_hull,
+    crosses,
     hull_edges,
     polar_order,
     require_convex_position,
-    segments_cross,
     visible_hull_vertices,
 )
 from .trees import RootedTree, Tree, root_at, sort_children_by_subtree_size
@@ -78,6 +77,8 @@ class Embedding:
     assignment: tuple[int, ...]
 
     def __post_init__(self):
+        if any(type(p) is not int for p in self.assignment):
+            raise TypeError(f"assignment entries must be integers, got {self.assignment!r}")
         if len(self.assignment) != self.tree.k:
             raise ValueError("assignment length must equal vertex count")
         if len(set(self.assignment)) != len(self.assignment):
@@ -95,8 +96,14 @@ class Embedding:
 
     @cached_property
     def _crossings(self) -> int:
-        pairs = itertools.combinations(self.segment_edges(), 2)
-        return sum(segments_cross(self.points, a, b) for a, b in pairs)
+        asg, xy = self.assignment, self.points.xy
+        segs = [(asg[u], asg[v]) for u, v in self.tree.edges]
+        count = 0
+        for i, (a, b) in enumerate(segs):
+            for c, d in segs[i + 1:]:
+                if a != c and a != d and b != c and b != d and crosses(xy, a, b, c, d):
+                    count += 1
+        return count
 
     def crossing_count(self) -> int:
         """Number of crossing segment pairs; computed once per embedding."""
@@ -137,7 +144,7 @@ class Embedding:
 
 def lowest_point_root(s: PointSet) -> int:
     """Root point of every wedge run: lowest, then leftmost point (a hull vertex)."""
-    return min(range(len(s)), key=lambda i: (s[i].y, s[i].x))
+    return min(range(len(s)), key=lambda i: (s.xy[i][1], s.xy[i][0]))
 
 
 class Placement(Enum):
@@ -170,7 +177,11 @@ class RepairPlan:
 
 
 class _Engine:
-    """Plan-driven recursive placement; the run is fully deterministic."""
+    """Plan-driven wedge placement in preorder; the run is fully deterministic.
+
+    ``placed`` lists the drawn segments as point-index pairs, in placement
+    order; the spider completion tests its new legs against them.
+    """
 
     def __init__(
         self,
@@ -186,7 +197,7 @@ class _Engine:
         self.forbidden = forbidden
         self.trace = trace
         self.asg = [-1] * rt.k
-        self.placed: list[Edge] = []
+        self.placed: list[tuple[int, int]] = []
 
     def run(self) -> list[int]:
         root = self.rt.root
@@ -200,15 +211,16 @@ class _Engine:
         root_pt = lowest_point_root(self.s)
         self.asg[root] = root_pt
         rest = [i for i in range(len(self.s)) if i != root_pt]
-        self._place_children(root, root_pt, rest)
+        self._place_subtree(root, root_pt, rest)
         return self.asg
 
-    def _place_children(self, v: int, v_pt: int, cell: list[int]) -> None:
+    def _blocks(self, v: int, v_pt: int, cell: list[int]) -> Iterator[tuple[int, list[int]]]:
+        """v's children paired with their angular blocks of cell around v's point."""
         kids = self.plan.child_order[v]
         if not kids:
             if cell:
                 raise EmbeddingDefectError("leaf cell is not empty")
-            return
+            return iter(())
         order = angular_sort(self.s, v_pt, cell)
         blocks = []
         pos = 0
@@ -220,7 +232,22 @@ class _Engine:
             raise EmbeddingDefectError("cell size does not match child subtree sizes")
         if self.trace is not None:
             self.trace.append(WedgePartition(v_pt, tuple(tuple(b) for b in blocks)))
-        for c, block in zip(kids, blocks):
+        return zip(kids, blocks)
+
+    def _place_subtree(self, v: int, v_pt: int, cell: list[int]) -> None:
+        """Place v's descendants into cell, in preorder.
+
+        An explicit stack of per-vertex block iterators replaces recursion,
+        so a tree as deep as a long path needs no deep Python call stack.
+        """
+        stack = [(v_pt, self._blocks(v, v_pt, cell))]
+        while stack:
+            v_pt, blocks = stack[-1]
+            step = next(blocks, None)
+            if step is None:
+                stack.pop()
+                continue
+            c, block = step
             placement = self.plan.placements.get(c)
             if placement is not None:
                 if placement is Placement.STAR:
@@ -238,8 +265,9 @@ class _Engine:
                 cand = [q for q in cand if Edge(v_pt, q) not in off] or cand
             c_pt = cand[0]
             self.asg[c] = c_pt
-            self.placed.append(Edge(v_pt, c_pt))
-            self._place_children(c, c_pt, [x for x in block if x != c_pt])
+            self.placed.append((v_pt, c_pt))
+            rest = [x for x in block if x != c_pt]
+            stack.append((c_pt, self._blocks(c, c_pt, rest)))
 
     def _place_star(self, c: int, attach_pt: int | None, block: list[int]) -> None:
         """Re-embed a star subtree fanning out from an interior cell point.
@@ -256,12 +284,12 @@ class _Engine:
         center = min(choices)
         self.asg[c] = center
         if attach_pt is not None:
-            self.placed.append(Edge(attach_pt, center))
+            self.placed.append((attach_pt, center))
         rest = sorted(x for x in block if x != center)
         leaves = self.plan.child_order[c]
         for leaf, pt in zip(leaves, rest):
             self.asg[leaf] = pt
-            self.placed.append(Edge(center, pt))
+            self.placed.append((center, pt))
 
     def _place_path3(self, z: int, attach_pt: int, block: list[int]) -> None:
         """Re-embed a 3-vertex chain into its 3-point cell avoiding the edge.
@@ -287,7 +315,7 @@ class _Engine:
         self.asg[z] = head_pt
         self.asg[u] = third
         self.asg[v] = tail_pt
-        self.placed += [Edge(attach_pt, head_pt), Edge(head_pt, third), Edge(third, tail_pt)]
+        self.placed += [(attach_pt, head_pt), (head_pt, third), (third, tail_pt)]
 
     def _place_spider(self, z: int, attach_pt: int, block: list[int]) -> None:
         """Re-anchor a legs-of-two spider subtree inside its own cell.
@@ -320,7 +348,7 @@ class _Engine:
         for cand in candidates:
             center = order[cand]
             del self.placed[saved_placed:]
-            self.placed.append(Edge(attach_pt, center))
+            self.placed.append((attach_pt, center))
             rest = sorted(x for x in block if x != center)
             pairs = self._complete_spider(center, rest)
             if pairs is not None:
@@ -329,28 +357,31 @@ class _Engine:
                     leaf_v = self.plan.child_order[c][0]
                     self.asg[c] = mid_pt
                     self.asg[leaf_v] = leaf_pt
-                    self.placed += [Edge(center, mid_pt), Edge(mid_pt, leaf_pt)]
+                    self.placed += [(center, mid_pt), (mid_pt, leaf_pt)]
                 return
         raise EmbeddingDefectError("no planar spider completion at any anchor")
 
     def _complete_spider(self, center: int, rest: list[int]) -> list[tuple[int, int]] | None:
         e = self.forbidden
-        s = self.s
+        banned = {e.a, e.b} if e is not None else None
+        xy = self.s.xy
         placed = list(self.placed)
 
-        def ok(new: Edge, against: list[Edge]) -> bool:
-            if e is not None and new == e:
+        def ok(new: tuple[int, int], against: list[tuple[int, int]]) -> bool:
+            p, q = new
+            if {p, q} == banned:
                 return False
-            return all(not segments_cross(s, new, old) for old in against)
+            return not any(p != c and p != d and q != c and q != d and crosses(xy, p, q, c, d)
+                           for c, d in against)
 
-        def dfs(unused: list[int], local: list[Edge], acc: list[tuple[int, int]]):
+        def dfs(unused: list[int], local: list[tuple[int, int]], acc: list[tuple[int, int]]):
             if not unused:
                 return list(acc)
             a = unused[0]
             for b in unused[1:]:
                 for mid, leaf in ((a, b), (b, a)):
-                    spoke = Edge(center, mid)
-                    leg = Edge(mid, leaf)
+                    spoke = (center, mid)
+                    leg = (mid, leaf)
                     against = placed + local
                     if not ok(spoke, against) or not ok(leg, against + [spoke]):
                         continue
@@ -397,7 +428,7 @@ class _Engine:
             leaf_v = self.plan.child_order[c][0]
             self.asg[c] = a
             self.asg[leaf_v] = b
-            self.placed += [Edge(p, a), Edge(a, b)]
+            self.placed += [(p, a), (a, b)]
 
 
 def _default_plan(rt: RootedTree) -> RepairPlan:

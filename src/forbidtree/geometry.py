@@ -4,7 +4,12 @@ All predicates are computed with exact integer arithmetic; point sets are
 validated to be in general position (no three collinear) once, in O(n^2),
 at construction, so every downstream crossing/orientation test is
 branch-free and exact. Cells are index lists into the one validated set, so
-their hulls (``_chain_hull``) need no re-validation.
+they need no re-validation.
+
+The predicates on a validated set read its ``xy`` tuple of int pairs by
+point index: orientation signs are inline integer cross products, and
+``crosses`` is the one crossing test, which ``segments_cross``, embedding
+validation and the oracle's crossing table all use.
 All types are immutable values and all operations are pure functions.
 """
 from __future__ import annotations
@@ -55,8 +60,9 @@ class Point:
     y: int
 
     def __post_init__(self):
-        if not isinstance(self.x, int) or not isinstance(self.y, int):
-            raise TypeError("coordinates must be integers")
+        # bool is an int subclass, but True as a coordinate is a caller's mistake
+        if type(self.x) is not int or type(self.y) is not int:
+            raise TypeError(f"coordinates must be integers, got ({self.x!r}, {self.y!r})")
         if abs(self.x) > COORD_BOUND or abs(self.y) > COORD_BOUND:
             raise ValueError(f"coordinate magnitude exceeds {COORD_BOUND}")
 
@@ -151,23 +157,24 @@ class PointSet:
     eagerly at construction; violations raise GeneralPositionError rather
     than degrading later predicates. The check is O(n^2): i < j < k are
     collinear iff j and k have the same ``_direction`` from i.
+    ``xy`` holds the coordinates as a tuple of (x, y) int pairs, the form
+    every predicate reads.
     """
 
     def __init__(self, points: Iterable[Point | tuple[int, int]]):
-        pts = tuple(
-            p if isinstance(p, Point) else Point(int(p[0]), int(p[1]))
-            for p in points
-        )
-        if len(set(pts)) != len(pts):
+        pts = tuple(p if isinstance(p, Point) else Point(p[0], p[1]) for p in points)
+        xy = tuple((p.x, p.y) for p in pts)
+        if len(set(xy)) != len(xy):
             raise GeneralPositionError("coincident points")
-        for i, p in enumerate(pts):
-            dirs = [_direction(q.x - p.x, q.y - p.y) for q in pts[i + 1:]]
+        for i, (px, py) in enumerate(xy):
+            dirs = [_direction(qx - px, qy - py) for qx, qy in xy[i + 1:]]
             if len(set(dirs)) != len(dirs):
                 j = next(j for j, d in enumerate(dirs) if dirs.count(d) > 1)
                 k = dirs.index(dirs[j], j + 1)
                 raise GeneralPositionError(
                     f"collinear triple at indices {i},{i + j + 1},{i + k + 1}")
         self._points = pts
+        self.xy = xy
         self._hull: tuple[int, ...] | None = None
         self._crossing_masks: list[int] | None = None
 
@@ -190,7 +197,9 @@ class PointSet:
         return f"PointSet({[(p.x, p.y) for p in self._points]})"
 
     def orient_idx(self, i: int, j: int, k: int) -> int:
-        return orient(self._points[i], self._points[j], self._points[k])
+        (px, py), (qx, qy), (rx, ry) = self.xy[i], self.xy[j], self.xy[k]
+        det = (qx - px) * (ry - py) - (qy - py) * (rx - px)
+        return (det > 0) - (det < 0)
 
     def subset(self, indices: Sequence[int]) -> "PointSet":
         """Sub point set over the given indices, in ascending index order."""
@@ -209,18 +218,19 @@ class PointSet:
         placed ones with one ``&``. Computed lazily once per point set.
         """
         if self._crossing_masks is None:
-            n = len(self)
-            edges = [Edge(a, b) for a in range(n) for b in range(a + 1, n)]
+            n, xy = len(self), self.xy
+            pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
             masks = [0] * (n * n)
-            for i, e1 in enumerate(edges):
-                id1 = self.edge_id(e1)
-                for e2 in edges[i + 1:]:
-                    if segments_cross(self, e1, e2):
-                        id2 = self.edge_id(e2)
+            for i, (a, b) in enumerate(pairs):
+                id1 = a * n + b
+                for c, d in pairs[i + 1:]:
+                    # a <= c < d, so d == a cannot occur
+                    if c != a and c != b and d != b and crosses(xy, a, b, c, d):
+                        id2 = c * n + d
                         masks[id1] |= 1 << id2
                         masks[id2] |= 1 << id1
-            for e in edges:
-                masks[e.b * n + e.a] = masks[e.a * n + e.b]
+            for a, b in pairs:
+                masks[b * n + a] = masks[a * n + b]
             self._crossing_masks = masks
         return self._crossing_masks
 
@@ -232,6 +242,24 @@ class PointSet:
         return cls(tuple(json_ints(p, 2)) for p in json_field(data, "points"))
 
 
+def crosses(xy: Sequence[tuple[int, int]], a: int, b: int, c: int, d: int) -> bool:
+    """True iff segments ab and cd properly cross; a, b, c, d are distinct indices.
+
+    The kernel of every crossing test: xy is a PointSet's ``xy``. Four
+    distinct points of a set in general position make no zero cross product,
+    so comparing signs with ``> 0`` is exact.
+    """
+    ax, ay = xy[a]
+    bx, by = xy[b]
+    cx, cy = xy[c]
+    dx, dy = xy[d]
+    ux, uy = bx - ax, by - ay
+    if (ux * (cy - ay) - uy * (cx - ax) > 0) == (ux * (dy - ay) - uy * (dx - ax) > 0):
+        return False
+    vx, vy = dx - cx, dy - cy
+    return (vx * (ay - cy) - vy * (ax - cx) > 0) != (vx * (by - cy) - vy * (bx - cx) > 0)
+
+
 def segments_cross(s: PointSet, e1: Edge, e2: Edge) -> bool:
     """True iff the open segments properly cross (interiors intersect).
 
@@ -239,19 +267,14 @@ def segments_cross(s: PointSet, e1: Edge, e2: Edge) -> bool:
     General position rules out collinear overlaps, so the pure sign test
     is exact.
     """
-    if e1 == e2 or e1.shares_endpoint(e2):
+    a, b, c, d = e1.a, e1.b, e2.a, e2.b
+    if a == c or a == d or b == c or b == d:
         return False
     n = len(s)
     for e in (e1, e2):
         if e.b >= n:
             raise IndexError(f"edge {e} out of range for {n} points")
-    p1, p2 = s[e1.a], s[e1.b]
-    q1, q2 = s[e2.a], s[e2.b]
-    d1 = orient(p1, p2, q1)
-    d2 = orient(p1, p2, q2)
-    d3 = orient(q1, q2, p1)
-    d4 = orient(q1, q2, p2)
-    return d1 != d2 and d3 != d4
+    return crosses(s.xy, a, b, c, d)
 
 
 def convex_hull(s: PointSet) -> list[int]:
@@ -264,7 +287,8 @@ def convex_hull(s: PointSet) -> list[int]:
     if n < 3:
         raise ValueError("convex hull requires at least 3 points")
     if s._hull is None:
-        hull = _chain_hull(s, range(n))
+        order = sorted(range(n), key=s.xy.__getitem__)
+        hull = _left_chain(s.xy, order)[:-1] + _left_chain(s.xy, reversed(order))[:-1]
         start = hull.index(min(hull))
         s._hull = tuple(hull[start:] + hull[:start])
     return list(s._hull)
@@ -276,20 +300,18 @@ def hull_edges(s: PointSet) -> frozenset[Edge]:
     return frozenset(Edge(hull[i - 1], hull[i]) for i in range(len(hull)))
 
 
-def _chain_hull(s: PointSet, indices: Iterable[int]) -> list[int]:
-    """Monotone chain over an index list (>= 3 entries) of s; CCW order."""
-    order = sorted(indices, key=lambda i: (s[i].x, s[i].y))
-    lower: list[int] = []
-    for i in order:
-        while len(lower) >= 2 and orient(s[lower[-2]], s[lower[-1]], s[i]) <= 0:
-            lower.pop()
-        lower.append(i)
-    upper: list[int] = []
-    for i in reversed(order):
-        while len(upper) >= 2 and orient(s[upper[-2]], s[upper[-1]], s[i]) <= 0:
-            upper.pop()
-        upper.append(i)
-    return lower[:-1] + upper[:-1]
+def _left_chain(xy: Sequence[tuple[int, int]], seq: Iterable[int]) -> list[int]:
+    """Monotone chain: seq with every point dropped that is not a strict left turn."""
+    out: list[int] = []
+    for i in seq:
+        px, py = xy[i]
+        while len(out) >= 2:
+            (ax, ay), (bx, by) = xy[out[-2]], xy[out[-1]]
+            if (bx - ax) * (py - ay) - (by - ay) * (px - ax) > 0:
+                break
+            out.pop()
+        out.append(i)
+    return out
 
 
 def is_convex_position(s: PointSet) -> bool:
@@ -303,17 +325,20 @@ def require_convex_position(s: PointSet) -> list[int]:
     return convex_hull(s)
 
 
-def _ccw_key(s: PointSet, center: int):
-    """Sort key ordering points counter-clockwise around center.
+# Vectors (dx, dy, index) from a center: u sorts before v iff v is counter-
+# clockwise of u. Never 0, since no two points are collinear with a center.
+_CCW = cmp_to_key(lambda u, v: -1 if u[0] * v[1] > u[1] * v[0] else 1)
+
+
+def _ccw_sorted(s: PointSet, center: int, indices: Iterable[int]) -> list[tuple[int, int, int]]:
+    """(dx, dy, index) vectors from center, sorted counter-clockwise.
 
     Only consistent on a set spanning less than pi as seen from center.
     """
-    c = s[center]
-
-    def cmp(i: int, j: int) -> int:
-        return -orient(c, s[i], s[j])
-
-    return cmp_to_key(cmp)
+    cx, cy = s.xy[center]
+    vecs = [(x - cx, y - cy, i) for i in indices for x, y in (s.xy[i],)]
+    vecs.sort(key=_CCW)
+    return vecs
 
 
 def angular_sort(s: PointSet, center: int, subset: Sequence[int]) -> list[int]:
@@ -327,14 +352,15 @@ def angular_sort(s: PointSet, center: int, subset: Sequence[int]) -> list[int]:
     pts = [i for i in subset if i != center]
     if len(pts) <= 1:
         return pts
-    c = s[center]
-    out = sorted(pts, key=_ccw_key(s, center))
-    for a, b in zip(out, out[1:]):
-        if orient(c, s[a], s[b]) != 1:
+    vecs = _ccw_sorted(s, center, pts)
+    # The order is angular and spans less than pi iff each vector turns
+    # counter-clockwise from its predecessor and from the first one. (Testing
+    # only the two extremes would pass an order that winds past 2*pi.)
+    fx, fy, _ = vecs[0]
+    for u, v in zip(vecs, vecs[1:]):
+        if u[0] * v[1] <= u[1] * v[0] or fx * v[1] <= fy * v[0]:
             raise ValueError("center is not a hull vertex of the combined set")
-    if orient(c, s[out[0]], s[out[-1]]) != 1:
-        raise ValueError("center is not a hull vertex of the combined set")
-    return out
+    return [v[2] for v in vecs]
 
 
 def polar_order(s: PointSet, center: int, subset: Sequence[int]) -> list[int]:
@@ -342,21 +368,15 @@ def polar_order(s: PointSet, center: int, subset: Sequence[int]) -> list[int]:
 
     Unlike angular_sort this supports interior centers (span up to 2*pi).
     """
-    c = s[center]
+    cx, cy = s.xy[center]
     upper: list[int] = []
     lower: list[int] = []
     for i in subset:
         if i == center:
             continue
-        dx, dy = s[i].x - c.x, s[i].y - c.y
-        if dy > 0 or (dy == 0 and dx > 0):
-            upper.append(i)
-        else:
-            lower.append(i)
-    key = _ccw_key(s, center)
-    upper.sort(key=key)
-    lower.sort(key=key)
-    return upper + lower
+        x, y = s.xy[i]
+        (upper if y > cy or (y == cy and x > cx) else lower).append(i)
+    return [v[2] for half in (upper, lower) for v in _ccw_sorted(s, center, half)]
 
 
 def edge_depth(s: PointSet, e: Edge) -> int:
@@ -368,17 +388,8 @@ def edge_depth(s: PointSet, e: Edge) -> int:
     n = len(s)
     if e.b >= n:
         raise IndexError(f"edge {e} out of range for {n} points")
-    left = 0
-    right = 0
-    pa, pb = s[e.a], s[e.b]
-    for i in range(n):
-        if i == e.a or i == e.b:
-            continue
-        if orient(pa, pb, s[i]) > 0:
-            left += 1
-        else:
-            right += 1
-    return min(left, right)
+    left = sum(s.orient_idx(e.a, e.b, i) > 0 for i in range(n) if i != e.a and i != e.b)
+    return min(left, n - 2 - left)
 
 
 def visible_hull_vertices(s: PointSet, apex: int, cell: Sequence[int]) -> list[int]:
@@ -387,22 +398,11 @@ def visible_hull_vertices(s: PointSet, apex: int, cell: Sequence[int]) -> list[i
     A hull vertex q is visible iff segment (apex, q) does not properly cross
     any hull edge of the cell. Returned in CCW angular order around the apex;
     the two angular extremes are always present.
+
+    These are the hull chain that faces the apex, so one monotone-chain pass
+    over the clockwise angular order finds them: a point that is no left
+    turn there lies behind a chord of the chain, as seen from the apex.
     """
     if apex in cell:
         raise ValueError("apex must not belong to the cell")
-    if len(cell) == 1:
-        return list(cell)
-    ordered = angular_sort(s, apex, cell)
-    if len(cell) == 2:
-        return ordered
-    hull = _chain_hull(s, cell)
-    on_hull = set(hull)
-    hull_edges = [Edge(hull[i - 1], hull[i]) for i in range(len(hull))]
-    visible = []
-    for q in ordered:
-        if q not in on_hull:
-            continue
-        probe = Edge(apex, q)
-        if not any(segments_cross(s, probe, he) for he in hull_edges):
-            visible.append(q)
-    return visible
+    return _left_chain(s.xy, reversed(angular_sort(s, apex, cell)))[::-1]

@@ -1,5 +1,7 @@
 import hashlib
+import inspect
 import json
+import sys
 
 import pytest
 from prufer_reference import prufer_trees
@@ -98,6 +100,11 @@ def test_embedding_validation_rejects_bad():
         Embedding(t, s, (0, 0, 1))
     with pytest.raises(ValueError):
         Embedding(t, s, (0, 1))
+    # True would be point 1, and would serialise as true
+    with pytest.raises(TypeError):
+        Embedding(t, s, (0, True, 2))
+    with pytest.raises(TypeError):
+        Embedding(t, s, (0, 1.0, 2))
 
 
 def test_rotate_identity_and_full_turn():
@@ -177,12 +184,28 @@ def test_hull_edges_used_matches_edge_depth():
             assert emb.hull_edges_used() == depth0
 
 
+def test_deep_path_needs_no_deep_stack():
+    """The wedge engine places a path of n vertices without n nested calls."""
+    n = 300
+    s = random_points(n, seed=1)
+    path = root_at(Tree(n, [(v, v + 1) for v in range(n - 1)]), 0)
+    limit = sys.getrecursionlimit()
+    # room for the engine's own few frames, far below one frame per level
+    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    try:
+        emb = embed_recursive(path, s)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert emb.crossing_count() == 0
+    assert sorted(emb.assignment) == list(range(n))
+
+
 def test_crossings_computed_once(monkeypatch):
     import forbidtree.embedding as embedding
     s = random_points(9, seed=3)
     emb = embed_recursive(root_at(all_trees(9)[5], 0), s)
     calls = []
-    monkeypatch.setattr(embedding, "segments_cross",
+    monkeypatch.setattr(embedding, "crosses",
                         lambda *a: calls.append(a) or False)
     fresh = Embedding(emb.tree, s, emb.assignment)
     fresh.validate()

@@ -61,6 +61,17 @@ def test_point_bound():
         Point(0.5, 1)
 
 
+def test_pointset_takes_int_coordinates_only():
+    # int() would have truncated these to other points
+    with pytest.raises(TypeError):
+        PointSet([(0.6, 0), (5, 1.2), (2, 7.9)])
+    with pytest.raises(TypeError):
+        PointSet([(0, 0), (5, 1), (2.0, 7)])
+    with pytest.raises(TypeError):
+        PointSet([(0, 0), (True, 5), (2, 7)])
+    assert PointSet([(0, 0), (5, 1), (2, 7)])[2] == Point(2, 7)
+
+
 def test_pointset_rejects_degenerate():
     with pytest.raises(GeneralPositionError):
         PointSet([(0, 0), (1, 1), (2, 2)])
@@ -144,6 +155,12 @@ def test_angular_sort_rejects_interior_center():
     s = PointSet([(0, 0), (10, 1), (-10, 2), (1, 10), (-2, -10)])
     with pytest.raises(ValueError):
         angular_sort(s, 0, [1, 2, 3, 4])
+    # point 5 is inside the hull of 0, 1, 3, 4; every consecutive pair of the
+    # sorted order and its two extremes turn counter-clockwise, but the order
+    # winds past 2*pi
+    s = random_points(6, seed=1)
+    with pytest.raises(ValueError):
+        angular_sort(s, 5, [0, 1, 3, 4])
 
 
 def test_angular_sort_ccw_chain_property():
