@@ -56,9 +56,13 @@ def _load_tree(source: str) -> Tree:
 
 
 def _parse_range(text: str) -> list[int]:
+    """A range like 5..9 (both ends included) or a single value; ValueError if empty."""
     if ".." in text:
         lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
+        values = list(range(int(lo), int(hi) + 1))
+        if not values:
+            raise ValueError(f"empty range {text!r}")
+        return values
     return [int(text)]
 
 

@@ -24,7 +24,7 @@ from .geometry import (
     hull_edges,
     polar_order,
     require_convex_position,
-    visible_hull_vertices,
+    _facing_chain,
 )
 from .trees import RootedTree, Tree, root_at, sort_children_by_subtree_size
 
@@ -179,8 +179,9 @@ class RepairPlan:
 class _Engine:
     """Plan-driven wedge placement in preorder; the run is fully deterministic.
 
-    ``placed`` lists the drawn segments as point-index pairs, in placement
-    order; the spider completion tests its new legs against them.
+    Each cell is sorted once around its apex. A child block is a slice of
+    that order, so it is read as it is, and its subtree is drawn inside its
+    own cone from the apex, which no segment of another cone enters.
     """
 
     def __init__(
@@ -197,7 +198,6 @@ class _Engine:
         self.forbidden = forbidden
         self.trace = trace
         self.asg = [-1] * rt.k
-        self.placed: list[tuple[int, int]] = []
 
     def run(self) -> list[int]:
         root = self.rt.root
@@ -206,7 +206,7 @@ class _Engine:
             self._spider_from_root(self.plan.root_anchor)
             return self.asg
         if placement is Placement.STAR:
-            self._place_star(root, None, list(range(len(self.s))))
+            self._place_star(root, list(range(len(self.s))))
             return self.asg
         root_pt = lowest_point_root(self.s)
         self.asg[root] = root_pt
@@ -251,13 +251,13 @@ class _Engine:
             placement = self.plan.placements.get(c)
             if placement is not None:
                 if placement is Placement.STAR:
-                    self._place_star(c, v_pt, block)
+                    self._place_star(c, block)
                 elif placement is Placement.PATH3:
-                    self._place_path3(c, v_pt, block)
+                    self._place_path3(c, block)
                 else:
                     self._place_spider(c, v_pt, block)
                 continue
-            visible = visible_hull_vertices(self.s, v_pt, block)
+            visible = _facing_chain(self.s.xy, block)
             banned = self.plan.avoid.get(c, ())
             cand = [q for q in visible if q not in banned] or visible
             off = self.plan.avoid_edges
@@ -265,11 +265,10 @@ class _Engine:
                 cand = [q for q in cand if Edge(v_pt, q) not in off] or cand
             c_pt = cand[0]
             self.asg[c] = c_pt
-            self.placed.append((v_pt, c_pt))
             rest = [x for x in block if x != c_pt]
             stack.append((c_pt, self._blocks(c, c_pt, rest)))
 
-    def _place_star(self, c: int, attach_pt: int | None, block: list[int]) -> None:
+    def _place_star(self, c: int, block: list[int]) -> None:
         """Re-embed a star subtree fanning out from an interior cell point.
 
         All fan edges share the center, and so does the attachment edge, so
@@ -283,15 +282,11 @@ class _Engine:
             raise EmbeddingDefectError("no center choice left for star placement")
         center = min(choices)
         self.asg[c] = center
-        if attach_pt is not None:
-            self.placed.append((attach_pt, center))
         rest = sorted(x for x in block if x != center)
-        leaves = self.plan.child_order[c]
-        for leaf, pt in zip(leaves, rest):
+        for leaf, pt in zip(self.plan.child_order[c], rest):
             self.asg[leaf] = pt
-            self.placed.append((center, pt))
 
-    def _place_path3(self, z: int, attach_pt: int, block: list[int]) -> None:
+    def _place_path3(self, z: int, block: list[int]) -> None:
         """Re-embed a 3-vertex chain into its 3-point cell avoiding the edge.
 
         The chain head goes to a visible endpoint of the forbidden edge, the
@@ -303,7 +298,7 @@ class _Engine:
         if e is None or len(block) != 3 or e.a not in block or e.b not in block:
             raise EmbeddingDefectError("3-point cell repair applied to a bad cell")
         (third,) = [x for x in block if x not in (e.a, e.b)]
-        visible = visible_hull_vertices(self.s, attach_pt, block)
+        visible = _facing_chain(self.s.xy, block)
         if e.a in visible:
             head_pt, tail_pt = e.a, e.b
         elif e.b in visible:
@@ -315,25 +310,21 @@ class _Engine:
         self.asg[z] = head_pt
         self.asg[u] = third
         self.asg[v] = tail_pt
-        self.placed += [(attach_pt, head_pt), (head_pt, third), (third, tail_pt)]
 
     def _place_spider(self, z: int, attach_pt: int, block: list[int]) -> None:
         """Re-anchor a legs-of-two spider subtree inside its own cell.
 
-        The cell is sorted by angle around the attachment point and ranked;
-        the spider center moves to an odd-rank point incident to the
-        forbidden edge (or the lowest odd rank strictly between its two
-        even-rank endpoints). The legs are then completed by exhaustive
-        search over all pairings, with exact crossing checks against
-        everything placed so far; the search space is complete for the
-        fixed center, so failure is a reportable defect.
+        A point's rank is its place in the block, which is already in angular
+        order around the attachment point. The spider center moves to an
+        odd-rank point incident to the forbidden edge (or the lowest odd rank
+        strictly between its two even-rank endpoints). The legs are then
+        completed by exhaustive search over all pairings; the search space is
+        complete for the fixed center, so failure is a reportable defect.
         """
         e = self.forbidden
         if e is None or e.a not in block or e.b not in block:
             raise EmbeddingDefectError("spider repair applied to a bad cell")
-        order = angular_sort(self.s, attach_pt, block)
-        rank = {pt: i for i, pt in enumerate(order)}
-        ra, rb = sorted((rank[e.a], rank[e.b]))
+        ra, rb = sorted((block.index(e.a), block.index(e.b)))
         if ra % 2 == 1:
             t = ra
         elif rb % 2 == 1:
@@ -343,29 +334,28 @@ class _Engine:
         # The parity-mandated anchor is tried first, but it does not admit a
         # planar completion for every cell geometry, so the remaining cell
         # points follow as fallback anchors in rank order.
-        candidates = [t] + [i for i in range(len(order)) if i != t]
-        saved_placed = len(self.placed)
-        for cand in candidates:
-            center = order[cand]
-            del self.placed[saved_placed:]
-            self.placed.append((attach_pt, center))
+        for center in [block[t]] + block[:t] + block[t + 1:]:
             rest = sorted(x for x in block if x != center)
-            pairs = self._complete_spider(center, rest)
+            pairs = self._complete_spider(attach_pt, center, rest)
             if pairs is not None:
                 self.asg[z] = center
                 for (mid_pt, leaf_pt), c in zip(pairs, self.plan.child_order[z]):
                     leaf_v = self.plan.child_order[c][0]
                     self.asg[c] = mid_pt
                     self.asg[leaf_v] = leaf_pt
-                    self.placed += [(center, mid_pt), (mid_pt, leaf_pt)]
                 return
         raise EmbeddingDefectError("no planar spider completion at any anchor")
 
-    def _complete_spider(self, center: int, rest: list[int]) -> list[tuple[int, int]] | None:
+    def _complete_spider(self, attach_pt: int, center: int,
+                         rest: list[int]) -> list[tuple[int, int]] | None:
+        """(middle, leaf) point pairs for the legs from center, or None.
+
+        The spider lies in its block's cone from attach_pt, so a spoke or leg
+        can cross only the attach edge or another of its own legs.
+        """
         e = self.forbidden
         banned = {e.a, e.b} if e is not None else None
         xy = self.s.xy
-        placed = list(self.placed)
 
         def ok(new: tuple[int, int], against: list[tuple[int, int]]) -> bool:
             p, q = new
@@ -374,7 +364,7 @@ class _Engine:
             return not any(p != c and p != d and q != c and q != d and crosses(xy, p, q, c, d)
                            for c, d in against)
 
-        def dfs(unused: list[int], local: list[tuple[int, int]], acc: list[tuple[int, int]]):
+        def dfs(unused: list[int], drawn: list[tuple[int, int]], acc: list[tuple[int, int]]):
             if not unused:
                 return list(acc)
             a = unused[0]
@@ -382,18 +372,17 @@ class _Engine:
                 for mid, leaf in ((a, b), (b, a)):
                     spoke = (center, mid)
                     leg = (mid, leaf)
-                    against = placed + local
-                    if not ok(spoke, against) or not ok(leg, against + [spoke]):
+                    if not ok(spoke, drawn) or not ok(leg, drawn + [spoke]):
                         continue
                     acc.append((mid, leaf))
                     found = dfs([x for x in unused if x not in (a, b)],
-                                local + [spoke, leg], acc)
+                                drawn + [spoke, leg], acc)
                     if found is not None:
                         return found
                     acc.pop()
             return None
 
-        return dfs(rest, [], [])
+        return dfs(rest, [(attach_pt, center)], [])
 
     def _spider_from_root(self, parent_endpoint: int) -> None:
         """Whole-tree re-embedding for a center-rooted legs-of-two spider.
@@ -428,7 +417,6 @@ class _Engine:
             leaf_v = self.plan.child_order[c][0]
             self.asg[c] = a
             self.asg[leaf_v] = b
-            self.placed += [(p, a), (a, b)]
 
 
 def _default_plan(rt: RootedTree) -> RepairPlan:

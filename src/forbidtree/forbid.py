@@ -63,8 +63,8 @@ def three_pairs_consecutive_hull_edges(
 ) -> ForbidConstruction:
     """Both hull edges around each of three middle hull positions.
 
-    The three middles must be pairwise at cyclic distance >= 2 so the six
-    edges are distinct; overlapping pairs are rejected.
+    The three middles (hull positions, taken mod n) must be distinct and
+    pairwise at cyclic distance >= 2; then the six edges are distinct.
     """
     n = len(s)
     if n < 6:
@@ -81,8 +81,6 @@ def three_pairs_consecutive_hull_edges(
     for m in mids:
         edges.append(Edge(hull[(m - 1) % n], hull[m]))
         edges.append(Edge(hull[m], hull[(m + 1) % n]))
-    if len(set(edges)) != 6:
-        raise ValueError("pairs overlap; six distinct edges required")
     return ForbidConstruction(
         kind=KIND_THREE_PAIRS,
         edges=EdgeSet(edges),

@@ -405,4 +405,9 @@ def visible_hull_vertices(s: PointSet, apex: int, cell: Sequence[int]) -> list[i
     """
     if apex in cell:
         raise ValueError("apex must not belong to the cell")
-    return _left_chain(s.xy, reversed(angular_sort(s, apex, cell)))[::-1]
+    return _facing_chain(s.xy, angular_sort(s, apex, cell))
+
+
+def _facing_chain(xy: Sequence[tuple[int, int]], order: Sequence[int]) -> list[int]:
+    """The hull vertices that the apex of an ``angular_sort`` order (or of a slice of one) sees."""
+    return _left_chain(xy, reversed(order))[::-1]

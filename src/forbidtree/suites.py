@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .embedding import (
+    EmbeddingDefectError,
     embed_avoiding_single,
     embed_convex_avoiding_two,
     embed_few_hull_edges,
@@ -70,16 +71,17 @@ def spread_middles(n: int) -> tuple[int, int, int]:
 def _check_avoidance(embed, s: PointSet, cases) -> tuple[str, int]:
     """Run embed(t, s, *edges) for each (t, edges) case up to the first failure.
 
-    A case fails when the embedder raises, draws a forbidden edge or a
-    crossing, or when the oracle finds no drawing that avoids the edges.
-    Returns the failure note ("" if none) and the number of cases run.
+    A case fails when the embedder reports a defect, draws a forbidden edge
+    or a crossing, or when the oracle finds no drawing that avoids the
+    edges; an input it does not take raises. Returns the failure note
+    ("" if none) and the number of cases run.
     """
     checked = 0
     for t, edges in cases:
         checked += 1
         try:
             emb = embed(t, s, *edges)
-        except Exception as ex:  # noqa: BLE001 - suite reports, never hides
+        except EmbeddingDefectError as ex:
             return f"{type(ex).__name__}: {ex}", checked
         forbidden = EdgeSet(edges)
         if not emb.avoids(forbidden) or emb.crossing_count() != 0:

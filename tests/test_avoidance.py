@@ -187,3 +187,43 @@ def test_spider_repair_fallbacks_are_pinned(gen, seed, e, expected):
     emb = embed_avoiding_single(SPIDER_REPAIR, gen(9, seed), e)
     assert emb.assignment == expected
     assert not emb.uses_edge(e) and emb.crossing_count() == 0
+
+
+# Every tree on 9 or 10 vertices whose single-edge repair reaches the spider
+# re-anchoring inside a cell, on random_points(9, 1..12) and
+# random_points(10, 1..3): the sweep over all edges draws 1,107 embeddings,
+# 54 of them through the spider repair. The digest was taken before the
+# spider completion stopped testing segments outside its own cell.
+SPIDER_CELL_TREES = [
+    [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (5, 7), (6, 8)],
+    [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (5, 6), (5, 7), (6, 8), (7, 9)],
+    [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 6), (2, 7), (4, 8), (5, 9)],
+    [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 6), (3, 7), (4, 8), (5, 9)],
+    [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (2, 7), (5, 8), (6, 9)],
+    [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 6), (1, 7), (6, 8), (7, 9)],
+]
+PINNED_SPIDER_CELL_SWEEP = (54, "15bc69b3d539c099")
+
+
+def test_spider_cell_repairs_are_pinned(monkeypatch):
+    import forbidtree.embedding as embedding
+    reached = []
+    real = embedding._Engine._place_spider
+
+    def spy(self, *a):
+        reached.append(a)
+        return real(self, *a)
+
+    monkeypatch.setattr(embedding._Engine, "_place_spider", spy)
+    assignments, spider_inputs = [], 0
+    for edges in SPIDER_CELL_TREES:
+        t = Tree(len(edges) + 1, edges)
+        for seed in range(1, 13) if t.k == 9 else range(1, 4):
+            s = random_points(t.k, seed)
+            for e in all_edges(t.k):
+                reached.clear()
+                emb = embed_avoiding_single(t, s, e)
+                assert not emb.uses_edge(e) and emb.crossing_count() == 0
+                assignments.append(emb.assignment)
+                spider_inputs += bool(reached)
+    assert (spider_inputs, _digest(assignments)) == PINNED_SPIDER_CELL_SWEEP

@@ -5,6 +5,7 @@ import pytest
 
 from forbidtree import suites
 from forbidtree.cli import main
+from forbidtree.embedding import EmbeddingDefectError
 from forbidtree.geometry import PointSet
 from forbidtree.oracle import min_forbidden_set_size
 
@@ -205,9 +206,14 @@ def test_render_round_trip(tmp_path, capsys):
 
 
 def test_verify_rejects_parameters_the_suite_does_not_take(capsys):
-    for argv in (("--suite", "blanket", "--n", "7"), ("--suite", "conf3", "--seeds", "1")):
+    # a flag the suite lacks, an n its embedder does not take, an empty range
+    for argv in (("--suite", "blanket", "--n", "7"), ("--suite", "conf3", "--seeds", "1"),
+                 ("--suite", "single-edge", "--n", "4", "--seeds", "1"),
+                 ("--suite", "two-edge-convex", "--n", "4"),
+                 ("--suite", "baseline", "--n", "9..5"),
+                 ("--suite", "baseline", "--n", "5", "--seeds", "3..1")):
         code, out, err = run(capsys, "verify", *argv)
-        assert code == 2
+        assert code == 2, argv
         assert out == ""
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
@@ -224,3 +230,17 @@ def test_verify_budget_run_out_is_unknown(monkeypatch, capsys):
         lines = [json.loads(line) for line in out.splitlines()]
         assert any(case.get("unknown") for case in lines[:-1])
         assert lines[-1]["failures"] == 0 and lines[-1]["unknown"] >= 1
+
+
+def test_verify_embedding_defect_is_a_failed_case(monkeypatch, capsys):
+    def broken(*args):
+        raise EmbeddingDefectError("broken on purpose")
+
+    monkeypatch.setattr(suites, "embed_avoiding_single", broken)
+    code, out, _ = run(capsys, "verify", "--suite", "single-edge", "--n", "5", "--seeds", "1")
+    assert code == 1
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert lines[0]["ok"] is False
+    assert lines[0]["note"] == "EmbeddingDefectError: broken on purpose"
+    assert lines[-1]["failures"] == len(lines) - 1 == 2
+

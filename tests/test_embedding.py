@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import json
+import random
 import sys
 
 import pytest
@@ -254,3 +255,32 @@ def test_wedge_assignments_are_pinned():
         got[("few-hull", "convex", n)] = _digest(
             [embed_few_hull_edges(t, convex_points(n, 1)).assignment for t in trees])
     assert got == PINNED_WEDGE
+
+
+def _caterpillar(n, spine, rng):
+    """A spine path 0..spine-1 with one leg hung in each equal stratum of it."""
+    legs = n - spine
+    edges = [(v, v + 1) for v in range(spine - 1)]
+    for j in range(legs):
+        edges.append((rng.randrange(j * spine // legs, (j + 1) * spine // legs), spine + j))
+    return Tree(n, edges)
+
+
+def test_wedge_run_sorts_each_cell_once(monkeypatch):
+    """One angular sort per internal vertex: blocks are read as sliced from their cell."""
+    import forbidtree.embedding as embedding
+    import forbidtree.geometry as geometry
+    calls = []
+    real = geometry.angular_sort
+
+    def spy(*a):
+        calls.append(a[1])
+        return real(*a)
+
+    monkeypatch.setattr(geometry, "angular_sort", spy)
+    monkeypatch.setattr(embedding, "angular_sort", spy)
+    rt = root_at(_caterpillar(80, 48, random.Random(1)), 0)
+    emb = embed_recursive(rt, random_points(80, 1000))
+    internal = [emb.assignment[v] for v in range(rt.k) if rt.children[v]]
+    assert len(internal) == 47
+    assert sorted(calls) == sorted(internal)

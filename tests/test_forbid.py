@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -149,3 +150,20 @@ def test_construction_json():
     assert len(data["edges"]) == 3
     assert data["target_tree"]["k"] == 6
     assert data["params"]["start"] == 1
+
+
+def test_three_pairs_valid_middles_give_six_edges():
+    """Distinct middles at cyclic distance >= 2, in any range, give six distinct edges."""
+    for n in range(6, 10):
+        s = convex_points(n, seed=1)
+        for mids in itertools.combinations(range(-n, 2 * n), 3):
+            pos = [m % n for m in mids]
+            valid = all(min((a - b) % n, (b - a) % n) >= 2
+                        for a, b in itertools.combinations(pos, 2))
+            if not valid:
+                with pytest.raises(ValueError):
+                    three_pairs_consecutive_hull_edges(s, mids)
+                continue
+            c = three_pairs_consecutive_hull_edges(s, mids)
+            assert len(c.edges) == 6
+            assert c.params["middles"] == pos
