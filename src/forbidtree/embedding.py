@@ -593,18 +593,12 @@ def embed_few_hull_edges(t: Tree, s: PointSet) -> Embedding:
 def _zigzag_path(t: Tree, s: PointSet) -> Embedding:
     """Path along alternating ends of the hull order: at most 2 hull edges."""
     n = t.k
-    ends = [v for v in range(n) if t.degree(v) == 1]
-    seq = [ends[0]]
-    prev = -1
-    while len(seq) < n:
-        nxt = [w for w in t.adjacency[seq[-1]] if w != prev]
-        prev = seq[-1]
-        seq.append(nxt[0])
+    end = next(v for v in range(n) if t.degree(v) == 1)
     hull = convex_hull(s)
     lo, hi = 0, n - 1
     take_lo = True
     asg = [-1] * n
-    for v in seq:
+    for v in root_at(t, end).order:
         if take_lo:
             asg[v] = hull[lo]
             lo += 1

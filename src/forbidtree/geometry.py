@@ -10,7 +10,9 @@ The predicates on a validated set read its ``xy`` tuple of int pairs by
 point index: orientation signs are inline integer cross products, and
 ``crosses`` is the one crossing test, which ``segments_cross``, embedding
 validation and the oracle's crossing table all use.
-All types are immutable values and all operations are pure functions.
+``Point``, ``Edge`` and ``EdgeSet`` are immutable values. A ``PointSet``
+never changes its points but fills its hull and crossing table lazily, on
+first use; the predicates are pure functions.
 """
 from __future__ import annotations
 

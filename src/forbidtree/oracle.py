@@ -8,13 +8,12 @@ conflated with infeasibility.
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .embedding import Embedding
 from .geometry import Edge, EdgeSet, PointSet
-from .trees import Tree, all_trees
+from .trees import Tree, all_trees, root_at
 
 DEFAULT_BUDGET = 10**8
 
@@ -51,22 +50,6 @@ class SearchReport:
         }
 
 
-def _search_order(t: Tree) -> list[int]:
-    """BFS order from a max-degree vertex: early placements constrain most edges."""
-    start = min(range(t.k), key=lambda v: (-t.degree(v), v))
-    order = []
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        for w in t.adjacency[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return order
-
-
 @lru_cache(maxsize=None)
 def _edge_bits(n: int) -> tuple[int, ...]:
     """Bit of edge {u, v} (id ``min * n + max``) at index u * n + v, both orders."""
@@ -78,16 +61,17 @@ def exists_embedding(
     s: PointSet,
     forbidden: EdgeSet | None = None,
     budget: int = DEFAULT_BUDGET,
-    vertex_order: list[int] | None = None,
 ) -> SearchReport:
     """Decide whether the tree embeds into the point set avoiding forbidden edges.
 
-    DFS over injective vertex-to-point assignments in a BFS vertex order, so
-    each newly placed vertex adds exactly one drawn edge; branches are pruned
-    the moment that edge is forbidden or crosses an earlier one. The drawn
-    and the forbidden edges are int masks of edge ids, so a candidate edge
-    costs one row of ``s.crossing_sets()`` and two ``&`` tests. Points are
-    tried in ascending order. Exhaustive within the budget.
+    DFS over injective vertex-to-point assignments in ``root_at(t, v).order``,
+    where v is the lowest-index vertex of maximum degree (early placements
+    constrain the most edges). Each newly placed vertex adds exactly one
+    drawn edge, to its parent; branches are pruned the moment that edge is
+    forbidden or crosses an earlier one. The drawn and the forbidden edges
+    are int masks of edge ids, so a candidate edge costs one row of
+    ``s.crossing_sets()`` and two ``&`` tests. Points are tried in ascending
+    order. Exhaustive within the budget.
     """
     k, n = t.k, len(s)
     if k > n:
@@ -100,23 +84,8 @@ def exists_embedding(
     for e in forbidden:
         forb_mask |= 1 << s.edge_id(e)
     start = time.perf_counter()
-
-    if k == 1:
-        emb = Embedding(t, s, (0,))
-        prunes = {"crossing": 0, "forbidden": 0}
-        return SearchReport(True, emb, 1, prunes, time.perf_counter() - start)
-
-    order = vertex_order if vertex_order is not None else _search_order(t)
-    if sorted(order) != list(range(k)):
-        raise ValueError("vertex_order must be a permutation of the vertices")
-    # parent of each vertex among its predecessors in the order
-    placed_rank = {v: i for i, v in enumerate(order)}
-    parent_of = [-1] * k
-    for v in order[1:]:
-        earlier = [w for w in t.adjacency[v] if placed_rank[w] < placed_rank[v]]
-        if len(earlier) != 1:
-            raise ValueError("vertex_order must place a neighbor before each vertex")
-        parent_of[v] = earlier[0]
+    rt = root_at(t, min(range(k), key=lambda v: (-t.degree(v), v)))
+    order, parent_of = rt.order, rt.parent
 
     cross = s.crossing_sets()
     edge_bit = _edge_bits(n)
@@ -159,7 +128,7 @@ def exists_embedding(
                 raise SearchBudgetExceeded
             used[pt] = True
             asg[root] = pt
-            if dfs(1, 0):
+            if k == 1 or dfs(1, 0):
                 return True
             used[pt] = False
         return False

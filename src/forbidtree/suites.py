@@ -68,27 +68,37 @@ def spread_middles(n: int) -> tuple[int, int, int]:
     return (0, math.ceil(n / 3), math.ceil(2 * n / 3))
 
 
-def _check_avoidance(embed, s: PointSet, cases) -> tuple[str, int]:
+def _avoidance_case(suite: str, params: dict, embed, s: PointSet, cases) -> CaseResult:
     """Run embed(t, s, *edges) for each (t, edges) case up to the first failure.
 
     A case fails when the embedder reports a defect, draws a forbidden edge
     or a crossing, or when the oracle finds no drawing that avoids the
-    edges; an input it does not take raises. Returns the failure note
-    ("" if none) and the number of cases run.
+    edges; an input it does not take raises. With no failure, an oracle
+    check that runs out of budget makes the result unknown. The counter
+    is the number of cases run.
     """
     checked = 0
+    unknown = False
+    note = ""
     for t, edges in cases:
         checked += 1
         try:
             emb = embed(t, s, *edges)
         except EmbeddingDefectError as ex:
-            return f"{type(ex).__name__}: {ex}", checked
+            note = f"{type(ex).__name__}: {ex}"
+            break
         forbidden = EdgeSet(edges)
         if not emb.avoids(forbidden) or emb.crossing_count() != 0:
-            return "invalid avoiding embedding", checked
-        if exists_embedding(t, s, forbidden).feasible is not True:
-            return "oracle disagrees", checked
-    return "", checked
+            note = "invalid avoiding embedding"
+            break
+        feasible = exists_embedding(t, s, forbidden).feasible
+        if feasible is None:
+            unknown = True
+        elif not feasible:
+            note = "oracle disagrees"
+            break
+    return CaseResult(suite, params, not note and not unknown, unknown=unknown and not note,
+                      note=note, counters={"checked": checked})
 
 
 def _blocking_case(suite: str, params: dict, c: ForbidConstruction, s: PointSet,
@@ -125,11 +135,10 @@ def suite_single_edge(ns: Sequence[int] = range(5, 8),
         edges = [Edge(a, b) for a in range(n) for b in range(a + 1, n)]
         for mode, gen in (("convex", convex_points), ("random", random_points)):
             for seed in seeds:
-                note, checked = _check_avoidance(
+                yield _avoidance_case(
+                    "single-edge", {"n": n, "mode": mode, "seed": seed},
                     embed_avoiding_single, gen(n, seed),
                     ((t, (e,)) for t in trees for e in edges))
-                yield CaseResult("single-edge", {"n": n, "mode": mode, "seed": seed},
-                                 not note, note=note, counters={"checked": checked})
 
 
 def suite_few_hull(ns: Sequence[int] = range(5, 10)) -> Iterator[CaseResult]:
@@ -153,11 +162,9 @@ def suite_two_edge_convex(ns: Sequence[int] = (5, 6, 7)) -> Iterator[CaseResult]
     for n in ns:
         s = convex_points(n, seed=1)
         edges = [Edge(a, b) for a in range(n) for b in range(a + 1, n)]
-        note, checked = _check_avoidance(
-            embed_convex_avoiding_two, s,
+        yield _avoidance_case(
+            "two-edge-convex", {"n": n}, embed_convex_avoiding_two, s,
             ((t, pair) for t in all_trees(n) for pair in itertools.combinations(edges, 2)))
-        yield CaseResult("two-edge-convex", {"n": n}, not note, note=note,
-                         counters={"checked": checked})
         params = {"n": n, "min_forbidden": True}
         try:
             res = min_forbidden_set_size(s, n, 3)
@@ -236,11 +243,15 @@ def suite_bounds(seeds: Sequence[int] = range(1, 6)) -> Iterator[CaseResult]:
 
 def suite_bracket(ns: Sequence[int] = (5, 6),
                   seeds: Sequence[int] = range(1, 11)) -> Iterator[CaseResult]:
-    """Minimum forbidding size on spanning trees lands in {2, 3}.
+    """Minimum forbidding size on spanning trees: 3 on convex sets, 2 or 3 otherwise.
 
     A size-2 result on a non-convex set is an open-gap sighting and is
-    reported prominently in the note, not treated as a failure.
+    reported prominently in the note, not treated as a failure. A size-2
+    result on a convex set contradicts the paper's convex minimum of 3: it
+    gets the same note and fails the case.
     """
+    if any(n < 5 for n in ns):
+        raise ValueError("the bracket suite needs n >= 5")
     for n in ns:
         for seed in seeds:
             s = random_points(n, seed)
@@ -252,7 +263,9 @@ def suite_bracket(ns: Sequence[int] = (5, 6),
             ok = res is not None and res.size in (2, 3)
             note = ""
             if res is not None and res.size == 2:
-                shape = "convex" if is_convex_position(s) else "NON-CONVEX"
+                convex = is_convex_position(s)
+                ok = not convex
+                shape = "convex" if convex else "NON-CONVEX"
                 note = (f"NOTABLE: 2-edge forbidding set on {shape} set "
                         f"(n={n}, seed={seed}): {[e.to_json() for e in res.edges]} "
                         f"blocks tree {list(res.tree.edges)}")

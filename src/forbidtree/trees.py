@@ -6,7 +6,6 @@ encoding is stable across releases.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable
@@ -38,19 +37,8 @@ class Tree:
         self.k = k
         self.adjacency = tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
         self.edges = tuple(sorted(seen))
-        if k > 1 and not self._connected():
+        if k > 1 and len(_bfs(self.adjacency, 0)[0]) != k:
             raise ValueError("tree is not connected")
-
-    def _connected(self) -> bool:
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for v in self.adjacency[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return len(seen) == self.k
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -79,15 +67,37 @@ class Tree:
         return cls(json_field(data, "k", int), edges)
 
 
+def _bfs(adjacency: tuple[tuple[int, ...], ...], v: int) -> tuple[list[int], list[int | None]]:
+    """Breadth-first order from v, neighbours in adjacency order, and each vertex's parent.
+
+    Vertices that v does not reach are left out of the order.
+    """
+    parent: list[int | None] = [None] * len(adjacency)
+    order = [v]
+    seen = {v}
+    for u in order:
+        for w in adjacency[u]:
+            if w not in seen:
+                seen.add(w)
+                parent[w] = u
+                order.append(w)
+    return order, parent
+
+
 @dataclass(frozen=True)
 class RootedTree:
-    """Tree plus root, parent pointers, ordered children and subtree sizes."""
+    """Tree plus root, parent pointers, ordered children and subtree sizes.
+
+    ``order`` is the breadth-first order from the root (neighbours by
+    ascending index), so every vertex comes after its parent.
+    """
 
     tree: Tree
     root: int
     children: tuple[tuple[int, ...], ...]
     parent: tuple[int | None, ...]
     subtree_size: tuple[int, ...]
+    order: tuple[int, ...]
 
     @property
     def k(self) -> int:
@@ -98,30 +108,20 @@ def root_at(t: Tree, v: int) -> RootedTree:
     """Root the tree at v; children initially in ascending index order."""
     if not (0 <= v < t.k):
         raise ValueError(f"vertex {v} out of range")
-    parent: list[int | None] = [None] * t.k
+    order, parent = _bfs(t.adjacency, v)
     children: list[list[int]] = [[] for _ in range(t.k)]
-    order = []
-    queue = deque([v])
-    seen = {v}
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        for w in t.adjacency[u]:
-            if w not in seen:
-                seen.add(w)
-                parent[w] = u
-                children[u].append(w)
-                queue.append(w)
     size = [1] * t.k
-    for u in reversed(order):
-        for c in children[u]:
-            size[u] += size[c]
+    for u in order[1:]:
+        children[parent[u]].append(u)
+    for u in reversed(order[1:]):
+        size[parent[u]] += size[u]
     return RootedTree(
         tree=t,
         root=v,
         children=tuple(tuple(c) for c in children),
         parent=tuple(parent),
         subtree_size=tuple(size),
+        order=tuple(order),
     )
 
 

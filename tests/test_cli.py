@@ -6,8 +6,10 @@ import pytest
 from forbidtree import suites
 from forbidtree.cli import main
 from forbidtree.embedding import EmbeddingDefectError
-from forbidtree.geometry import PointSet
-from forbidtree.oracle import min_forbidden_set_size
+from forbidtree.generators import convex_points, random_points
+from forbidtree.geometry import Edge, EdgeSet, PointSet
+from forbidtree.oracle import MinForbidResult, exists_embedding, min_forbidden_set_size
+from forbidtree.trees import spider_tree
 
 
 def run(capsys, *argv):
@@ -211,7 +213,9 @@ def test_verify_rejects_parameters_the_suite_does_not_take(capsys):
                  ("--suite", "single-edge", "--n", "4", "--seeds", "1"),
                  ("--suite", "two-edge-convex", "--n", "4"),
                  ("--suite", "baseline", "--n", "9..5"),
-                 ("--suite", "baseline", "--n", "5", "--seeds", "3..1")):
+                 ("--suite", "baseline", "--n", "5", "--seeds", "3..1"),
+                 ("--suite", "bracket", "--n", "4", "--seeds", "1"),
+                 ("--suite", "bracket", "--n", "4..6", "--seeds", "1")):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2, argv
         assert out == ""
@@ -219,17 +223,37 @@ def test_verify_rejects_parameters_the_suite_does_not_take(capsys):
 
 
 def test_verify_budget_run_out_is_unknown(monkeypatch, capsys):
-    # 10 nodes leave at least one search in each suite without a verdict
+    # 10 nodes per minimum search and 3 per avoidance check leave at least
+    # one search in each suite without a verdict
     monkeypatch.setattr(suites, "min_forbidden_set_size",
                         functools.partial(min_forbidden_set_size, budget=10))
+    monkeypatch.setattr(suites, "exists_embedding",
+                        functools.partial(exists_embedding, budget=3))
     for argv in (("--suite", "bracket", "--n", "5", "--seeds", "1"),
                  ("--suite", "two-edge-convex", "--n", "5"),
-                 ("--suite", "bounds", "--seeds", "1")):
+                 ("--suite", "bounds", "--seeds", "1"),
+                 ("--suite", "single-edge", "--n", "5", "--seeds", "1")):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 3, (argv, err)
         lines = [json.loads(line) for line in out.splitlines()]
         assert any(case.get("unknown") for case in lines[:-1])
         assert lines[-1]["failures"] == 0 and lines[-1]["unknown"] >= 1
+
+
+def test_verify_bracket_convex_size_two_fails(monkeypatch, capsys):
+    # the paper's convex minimum is 3, so only a non-convex size-2 set passes
+    def size_two(s, k, cap):
+        return MinForbidResult(2, EdgeSet([Edge(0, 1), Edge(0, 2)]), spider_tree(k))
+
+    monkeypatch.setattr(suites, "min_forbidden_set_size", size_two)
+    for gen, ok in ((convex_points, False), (random_points, True)):
+        monkeypatch.setattr(suites, "random_points", gen)
+        code, out, err = run(capsys, "verify", "--suite", "bracket", "--n", "5", "--seeds", "3")
+        assert code == (0 if ok else 1)
+        case = json.loads(out.splitlines()[0])
+        assert case["ok"] is ok and case["counters"]["size"] == 2
+        shape = "NON-CONVEX" if ok else "convex"
+        assert err.startswith(f"NOTABLE: 2-edge forbidding set on {shape} set (n=5, seed=3)")
 
 
 def test_verify_embedding_defect_is_a_failed_case(monkeypatch, capsys):

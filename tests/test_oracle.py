@@ -1,5 +1,6 @@
 import pytest
 
+from forbidtree import oracle
 from forbidtree.forbid import three_consecutive_hull_edges
 from forbidtree.generators import convex_points, random_points
 from forbidtree.geometry import Edge, EdgeSet, convex_hull
@@ -9,7 +10,7 @@ from forbidtree.oracle import (
     forbids,
     min_forbidden_set_size,
 )
-from forbidtree.trees import Tree, all_trees, spider_tree
+from forbidtree.trees import Tree, all_trees, root_at, spider_tree
 
 
 def complete_edge_set(n):
@@ -82,34 +83,30 @@ def test_budget_exhaustion_is_unknown_not_infeasible():
         forbids(EdgeSet(), t, s, budget=3)
 
 
-def test_verdict_independent_of_vertex_order():
+def test_verdict_independent_of_vertex_order(monkeypatch):
+    # relabelings of one tree make the oracle walk it in other orders
+    orders = set()
+
+    def spy(t, v):
+        rt = root_at(t, v)
+        orders.add(tuple(perm.index(u) for u in rt.order))
+        return rt
+
+    monkeypatch.setattr(oracle, "root_at", spy)
     s = convex_points(6, seed=1)
     c = three_consecutive_hull_edges(s, 0)
     t = spider_tree(6)
-    orders = [
-        [0, 1, 2, 3, 4, 5],
-        [0, 4, 5, 1, 2, 3],
-        [2, 1, 0, 3, 4, 5],
-    ]
-    verdicts = set()
-    for order in orders:
-        # order must walk the tree: fix up to a BFS-compatible order
-        rep = exists_embedding(t, s, c.edges, vertex_order=_bfs_compatible(t, order))
-        verdicts.add(rep.feasible)
-    assert verdicts == {False}
+    for perm in ((0, 1, 2, 3, 4, 5), (5, 4, 3, 2, 1, 0), (3, 0, 5, 1, 4, 2)):
+        relabeled = Tree(6, [(perm[a], perm[b]) for a, b in t.edges])
+        assert exists_embedding(relabeled, s, c.edges).feasible is False
+    assert len(orders) >= 2
 
 
-def _bfs_compatible(t, preference):
-    seen = []
-    frontier = [preference[0]]
-    while frontier:
-        frontier.sort(key=preference.index)
-        v = frontier.pop(0)
-        seen.append(v)
-        for w in t.adjacency[v]:
-            if w not in seen and w not in frontier:
-                frontier.append(w)
-    return seen
+def test_single_vertex_report():
+    rep = exists_embedding(Tree(1, []), random_points(3, seed=1))
+    assert rep.feasible is True and rep.nodes_expanded == 1
+    assert rep.prunes == {"crossing": 0, "forbidden": 0}
+    assert rep.witness.assignment == (0,)
 
 
 def test_report_counters_and_json():

@@ -36,6 +36,9 @@ def test_tree_validation():
         Tree(4, [(0, 1), (2, 3), (0, 0)])
     with pytest.raises(ValueError):
         Tree(4, [(0, 1), (0, 1), (2, 3)])
+    # three edges on four vertices, but vertex 3 is cut off by a cycle
+    with pytest.raises(ValueError, match="not connected"):
+        Tree(4, [(0, 1), (1, 2), (0, 2)])
 
 
 def test_spider_small():
@@ -87,6 +90,21 @@ def test_root_at_star():
     assert all(rt.subtree_size[c] == 1 for c in rt.children[0])
     with pytest.raises(ValueError):
         root_at(t, 9)
+
+
+def test_root_at_order_is_breadth_first():
+    t = Tree(7, [(0, 4), (4, 1), (4, 6), (0, 5), (1, 2), (5, 3)])
+    rt = root_at(t, 0)
+    assert rt.order == (0, 4, 5, 1, 6, 3, 2)
+    for t in all_trees(8):
+        for root in range(t.k):
+            rt = root_at(t, root)
+            assert sorted(rt.order) == list(range(t.k)) and rt.order[0] == root
+            rank = {v: i for i, v in enumerate(rt.order)}
+            assert all(rank[rt.parent[v]] < rank[v] for v in rt.order[1:])
+            # breadth-first: the parents' ranks never decrease along the order
+            parent_rank = [rank[rt.parent[v]] for v in rt.order[1:]]
+            assert parent_rank == sorted(parent_rank)
 
 
 def test_root_spider_center():
