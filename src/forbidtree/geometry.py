@@ -11,8 +11,9 @@ point index: orientation signs are inline integer cross products, and
 ``crosses`` is the one crossing test, which ``segments_cross``, embedding
 validation and the oracle's crossing table all use.
 ``Point``, ``Edge`` and ``EdgeSet`` are immutable values. A ``PointSet``
-never changes its points but fills its hull and crossing table lazily, on
-first use; the predicates are pure functions.
+never changes its points but fills its hull, crossing table and the
+oracle's candidate rows lazily, on first use; the predicates are pure
+functions.
 """
 from __future__ import annotations
 
@@ -179,6 +180,7 @@ class PointSet:
         self.xy = xy
         self._hull: tuple[int, ...] | None = None
         self._crossing_masks: list[int] | None = None
+        self._candidate_rows: tuple[tuple[tuple[int, int, int], ...], ...] | None = None
 
     def __len__(self):
         return len(self._points)
@@ -235,6 +237,23 @@ class PointSet:
                 masks[b * n + a] = masks[a * n + b]
             self._crossing_masks = masks
         return self._crossing_masks
+
+    def candidate_rows(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """For each point p, a ``(q, edge bit, crossing mask)`` triple per point q != p.
+
+        The triples run in ascending q. The edge bit is ``1 << edge_id`` of
+        pq, and the crossing mask is row ``p * n + q`` of ``crossing_sets()``,
+        so the search oracle tries every edge out of a placed point by
+        walking one row. Built lazily from the crossing table, once per
+        point set.
+        """
+        if self._candidate_rows is None:
+            n, cross = len(self), self.crossing_sets()
+            self._candidate_rows = tuple(
+                tuple((q, 1 << (min(p, q) * n + max(p, q)), cross[p * n + q])
+                      for q in range(n) if q != p)
+                for p in range(n))
+        return self._candidate_rows
 
     def to_json(self) -> dict:
         return {"points": [[p.x, p.y] for p in self._points]}

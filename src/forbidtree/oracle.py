@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from .embedding import Embedding
 from .geometry import Edge, EdgeSet, PointSet
-from .trees import Tree, all_trees, root_at
+from .trees import RootedTree, Tree, all_trees, root_at
 
 DEFAULT_BUDGET = 10**8
 
@@ -50,10 +50,14 @@ class SearchReport:
         }
 
 
-@lru_cache(maxsize=None)
-def _edge_bits(n: int) -> tuple[int, ...]:
-    """Bit of edge {u, v} (id ``min * n + max``) at index u * n + v, both orders."""
-    return tuple(1 << (min(u, v) * n + max(u, v)) for u in range(n) for v in range(n))
+@lru_cache(maxsize=1024)
+def _search_rooting(t: Tree) -> RootedTree:
+    """The tree rooted for the search, cached per tree (equal trees share one entry).
+
+    The root is the lowest-index vertex of maximum degree, since early
+    placements constrain the most edges.
+    """
+    return root_at(t, min(range(t.k), key=lambda v: (-t.degree(v), v)))
 
 
 def exists_embedding(
@@ -65,13 +69,15 @@ def exists_embedding(
     """Decide whether the tree embeds into the point set avoiding forbidden edges.
 
     DFS over injective vertex-to-point assignments in ``root_at(t, v).order``,
-    where v is the lowest-index vertex of maximum degree (early placements
-    constrain the most edges). Each newly placed vertex adds exactly one
-    drawn edge, to its parent; branches are pruned the moment that edge is
-    forbidden or crosses an earlier one. The drawn and the forbidden edges
-    are int masks of edge ids, so a candidate edge costs one row of
-    ``s.crossing_sets()`` and two ``&`` tests. Points are tried in ascending
-    order. Exhaustive within the budget.
+    where v is the lowest-index vertex of maximum degree; the rooting is
+    computed once per tree and cached. Each newly placed vertex adds exactly
+    one drawn edge, to its parent; branches are pruned the moment that edge
+    is forbidden or crosses an earlier one. The drawn and the forbidden
+    edges are int masks of edge ids, and the candidates at each level are
+    the parent point's row of ``s.candidate_rows()``: each entry carries the
+    point, the edge's bit and its crossing mask, so a candidate edge costs
+    two ``&`` tests. Points are tried in ascending order. Exhaustive within
+    the budget.
     """
     k, n = t.k, len(s)
     if k > n:
@@ -84,11 +90,10 @@ def exists_embedding(
     for e in forbidden:
         forb_mask |= 1 << s.edge_id(e)
     start = time.perf_counter()
-    rt = root_at(t, min(range(k), key=lambda v: (-t.degree(v), v)))
+    rt = _search_rooting(t)
     order, parent_of = rt.order, rt.parent
 
-    cross = s.crossing_sets()
-    edge_bit = _edge_bits(n)
+    rows = s.candidate_rows()
     asg = [-1] * k
     used = [False] * n
     nodes = crossing_prunes = forbidden_prunes = 0
@@ -98,18 +103,16 @@ def exists_embedding(
         """Place order[i] (i >= 1) next to its placed parent; placed = drawn edge bits."""
         nonlocal nodes, crossing_prunes, forbidden_prunes
         v = order[i]
-        row = asg[parent_of[v]] * n
-        for pt in range(n):
+        for pt, bit, crossed in rows[asg[parent_of[v]]]:
             if used[pt]:
                 continue
             nodes += 1
             if nodes > budget:
                 raise SearchBudgetExceeded
-            bit = edge_bit[row + pt]
             if forb_mask & bit:
                 forbidden_prunes += 1
                 continue
-            if cross[row + pt] & placed:
+            if crossed & placed:
                 crossing_prunes += 1
                 continue
             used[pt] = True

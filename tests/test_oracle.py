@@ -93,6 +93,7 @@ def test_verdict_independent_of_vertex_order(monkeypatch):
         return rt
 
     monkeypatch.setattr(oracle, "root_at", spy)
+    oracle._search_rooting.cache_clear()  # a rooting cached earlier would bypass the spy
     s = convex_points(6, seed=1)
     c = three_consecutive_hull_edges(s, 0)
     t = spider_tree(6)

@@ -1,24 +1,27 @@
-"""The search oracle against references that share none of its machinery.
+"""The search oracle against references.
 
 Pinned digests fix every report field (verdict, node and prune counts,
-witness) over small inputs; a brute force over all injective assignments
-checks the verdicts, and the minimum forbidding sizes, with ``segments_cross``
-alone; and the bitmask crossing table is checked pair by pair against
-``segments_cross``.
+witness) over small inputs; a frozen copy of the old search loop
+(``oracle_reference.py``, which reads the same crossing table and rooting)
+fixes them on generated inputs at every budget; a brute force over all
+injective assignments checks the verdicts, and the minimum forbidding sizes,
+with ``segments_cross`` alone; and the bitmask crossing table and the
+candidate rows are checked pair by pair against ``segments_cross``.
 """
 import hashlib
 import itertools
 import json
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
-from prufer_reference import prufer_trees
+from oracle_reference import reference_search
+from prufer_reference import prufer_to_edges, prufer_trees
 
 from forbidtree.forbid import r_edge_blanket
 from forbidtree.generators import convex_points, random_points
 from forbidtree.geometry import Edge, EdgeSet, PointSet, convex_hull, segments_cross
-from forbidtree.oracle import exists_embedding, forbids, min_forbidden_set_size
-from forbidtree.trees import all_trees
+from forbidtree.oracle import _search_rooting, exists_embedding, forbids, min_forbidden_set_size
+from forbidtree.trees import Tree, all_trees, spider_tree
 
 
 def all_edges(n):
@@ -78,6 +81,92 @@ def pinned_reports():
 
 def test_oracle_reports_are_pinned():
     assert pinned_reports() == PINNED_REPORTS
+
+
+def reference_fields(found, nodes, prunes, assignment):
+    return [found, nodes, sorted(prunes.items()), list(assignment) if assignment else None]
+
+
+coordinate = st.integers(-1000, 1000)
+point_sets = st.lists(st.tuples(coordinate, coordinate), min_size=2, max_size=9,
+                      unique=True)
+
+
+def general_position(coords):
+    try:
+        return PointSet(coords)
+    except ValueError:
+        return None
+
+
+@st.composite
+def oracle_inputs(draw):
+    """A point set (n <= 7), a labelled tree on k <= n vertices and a forbidden set."""
+    n = draw(st.integers(1, 7))
+    s = general_position(draw(st.lists(st.tuples(coordinate, coordinate),
+                                       min_size=n, max_size=n, unique=True)))
+    if s is None:
+        s = random_points(n, draw(st.integers(1, 1000)))
+    k = n - draw(st.integers(0, n - 1))
+    if k <= 2:
+        t = Tree(k, [(0, 1)][:k - 1])
+    else:
+        seq = draw(st.lists(st.integers(0, k - 1), min_size=k - 2, max_size=k - 2))
+        t = Tree(k, prufer_to_edges(tuple(seq), k))
+    edges = all_edges(n)
+    picked = draw(st.lists(st.sampled_from(edges), max_size=8)) if edges else []
+    if n >= 3 and draw(st.booleans()):
+        picked += hull_run(s)
+    return t, s, EdgeSet(picked)
+
+
+def assert_matches_reference(t, s, forbidden, budgets):
+    for budget in budgets:
+        got = report_fields(exists_embedding(t, s, forbidden, budget))
+        assert got == reference_fields(*reference_search(t, s, forbidden, budget)), budget
+
+
+# Run-outs are where a rewrite of the search loop breaks first, so both tests
+# compare at budgets up to the reference's full node count N, and at N + 1.
+@settings(max_examples=200, deadline=None)
+@given(oracle_inputs(), st.data())
+def test_oracle_matches_reference(case, data):
+    t, s, forbidden = case
+    nodes = reference_search(t, s, forbidden, 10**9)[1]
+    budgets = {1, nodes, nodes + 1, 10**9}
+    budgets |= set(data.draw(st.lists(st.integers(1, nodes + 1), max_size=6)))
+    assert_matches_reference(t, s, forbidden, sorted(budgets))
+
+
+def test_oracle_matches_reference_at_every_budget():
+    # the spider's exhaustive refusal on a convex hexagon, and a feasible
+    # search on seven random points
+    for s in (convex_points(6, 1), random_points(7, 1)):
+        t, forbidden = spider_tree(len(s)), hull_run(s)
+        nodes = reference_search(t, s, forbidden, 10**9)[1]
+        assert nodes > 500
+        assert_matches_reference(t, s, forbidden, range(1, nodes + 2))
+
+
+def test_reports_do_not_depend_on_cache_state():
+    # equal but distinct trees share a cached rooting, and another shape on
+    # the same k must not; searched in alternation on one point set, each
+    # report equals a fresh call made with the cache cleared
+    s = random_points(7, 3)
+    forbidden = hull_run(s)
+    shapes = all_trees(7)
+    twin = Tree(7, shapes[4].edges)
+    trees = [shapes[4], shapes[9], twin, shapes[4], shapes[9], twin]
+    assert twin is not shapes[4] and twin == shapes[4]
+    fresh = []
+    for t in trees:
+        _search_rooting.cache_clear()
+        fresh.append([report_fields(exists_embedding(t, s, forbidden, b)) for b in (40, 10**8)])
+    warm = [[report_fields(exists_embedding(t, s, forbidden, b)) for b in (40, 10**8)]
+            for t in trees]
+    assert warm == fresh
+    assert fresh[0] == fresh[2] != fresh[1]
+    assert _search_rooting.cache_info().maxsize is not None
 
 
 def plane_drawings(t, s):
@@ -168,18 +257,6 @@ def test_min_forbidden_sizes_are_pinned():
     assert got == PINNED_SIZES
 
 
-coordinate = st.integers(-1000, 1000)
-point_sets = st.lists(st.tuples(coordinate, coordinate), min_size=2, max_size=9,
-                      unique=True)
-
-
-def general_position(coords):
-    try:
-        return PointSet(coords)
-    except ValueError:
-        return None
-
-
 @given(point_sets.map(general_position).filter(lambda s: s is not None))
 def test_crossing_table_matches_segments_cross(s):
     n = len(s)
@@ -194,3 +271,8 @@ def test_crossing_table_matches_segments_cross(s):
             assert bit == segments_cross(s, e1, e2)
             if e1.shares_endpoint(e2):
                 assert not bit
+    rows = s.candidate_rows()
+    assert len(rows) == n
+    for p in range(n):
+        assert rows[p] == tuple((q, 1 << s.edge_id(Edge(min(p, q), max(p, q))), table[p * n + q])
+                                for q in range(n) if q != p)
