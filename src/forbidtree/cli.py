@@ -9,6 +9,7 @@ import argparse
 import inspect
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .embedding import (
@@ -197,7 +198,9 @@ def cmd_render(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every main() call."""
     parser = argparse.ArgumentParser(
         prog="forbidtree",
         description="Planar tree embeddings with forbidden edges: "

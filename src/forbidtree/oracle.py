@@ -60,36 +60,24 @@ def _search_rooting(t: Tree) -> RootedTree:
     return root_at(t, min(range(t.k), key=lambda v: (-t.degree(v), v)))
 
 
-def exists_embedding(
-    t: Tree,
-    s: PointSet,
-    forbidden: EdgeSet | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> SearchReport:
-    """Decide whether the tree embeds into the point set avoiding forbidden edges.
+def _search(
+    t: Tree, s: PointSet, forb_mask: int, budget: int,
+) -> tuple[bool | None, list[int], int, int, int]:
+    """The search core: (verdict, assignment, nodes, crossing prunes, forbidden prunes).
 
     DFS over injective vertex-to-point assignments in ``root_at(t, v).order``,
     where v is the lowest-index vertex of maximum degree; the rooting is
     computed once per tree and cached. Each newly placed vertex adds exactly
     one drawn edge, to its parent; branches are pruned the moment that edge
     is forbidden or crosses an earlier one. The drawn and the forbidden
-    edges are int masks of edge ids, and the candidates at each level are
-    the parent point's row of ``s.candidate_rows()``: each entry carries the
-    point, the edge's bit and its crossing mask, so a candidate edge costs
-    two ``&`` tests. Points are tried in ascending order. Exhaustive within
-    the budget.
+    edges (``forb_mask``) are int masks of edge ids, and the candidates at
+    each level are the parent point's row of ``s.candidate_rows()``: each
+    entry carries the point, the edge's bit and its crossing mask, so a
+    candidate edge costs two ``&`` tests. Points are tried in ascending
+    order. Exhaustive within the budget; the verdict is None when the
+    budget runs out. The assignment is unchecked: see ``_witness``.
     """
     k, n = t.k, len(s)
-    if k > n:
-        raise ValueError(f"tree on {k} vertices cannot embed into {n} points")
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-    forbidden = forbidden or EdgeSet()
-    forbidden.validate_for(s)
-    forb_mask = 0
-    for e in forbidden:
-        forb_mask |= 1 << s.edge_id(e)
-    start = time.perf_counter()
     rt = _search_rooting(t)
     order, parent_of = rt.order, rt.parent
 
@@ -140,14 +128,56 @@ def exists_embedding(
         found = search()
     except SearchBudgetExceeded:
         found = None
+    return found, asg, nodes, crossing_prunes, forbidden_prunes
+
+
+def _edge_pairs(mask: int, n: int) -> list[tuple[int, int]]:
+    """The point pairs (a, b), a < b, of the edge ids ``a * n + b`` set in the mask."""
+    return [divmod(i, n) for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _witness(t: Tree, s: PointSet, asg: list[int], forb_mask: int) -> Embedding:
+    """The search's assignment as an Embedding, checked independently of the search.
+
+    ``validate()`` recounts crossings with ``crosses``, not the crossing
+    table, and the drawn point pairs are tested against the forbidden edges
+    decoded as point pairs, not against the search's bits.
+    """
+    witness = Embedding(t, s, tuple(asg))
+    witness.validate()
+    drawn = {(min(asg[u], asg[v]), max(asg[u], asg[v])) for u, v in t.edges}
+    if not drawn.isdisjoint(_edge_pairs(forb_mask, len(s))):
+        raise AssertionError("oracle witness uses a forbidden edge")
+    return witness
+
+
+def exists_embedding(
+    t: Tree,
+    s: PointSet,
+    forbidden: EdgeSet | None = None,
+    budget: int = DEFAULT_BUDGET,
+) -> SearchReport:
+    """Decide whether the tree embeds into the point set avoiding forbidden edges.
+
+    Checks its arguments, turns the forbidden edges into a mask of edge ids
+    and runs the search core ``_search``, the same one that
+    ``min_forbidden_set_size`` drives; a witness is checked by ``_witness``.
+    Exhaustive within the budget.
+    """
+    k, n = t.k, len(s)
+    if k > n:
+        raise ValueError(f"tree on {k} vertices cannot embed into {n} points")
+    if budget <= 0:
+        raise ValueError("budget must be positive")
+    forbidden = forbidden or EdgeSet()
+    forbidden.validate_for(s)
+    forb_mask = 0
+    for e in forbidden:
+        forb_mask |= 1 << s.edge_id(e)
+    start = time.perf_counter()
+    found, asg, nodes, crossing_prunes, forbidden_prunes = _search(t, s, forb_mask, budget)
+    witness = _witness(t, s, asg, forb_mask) if found else None
     prunes = {"crossing": crossing_prunes, "forbidden": forbidden_prunes}
-    witness = None
-    if found:
-        witness = Embedding(t, s, tuple(asg))
-        witness.validate()
-        # not avoids(): its cached edge set would live as long as the witness
-        if not forbidden.edges.isdisjoint(witness.segment_edges()):
-            raise AssertionError("oracle witness uses a forbidden edge")
     return SearchReport(found, witness, nodes, prunes, time.perf_counter() - start)
 
 
@@ -183,7 +213,8 @@ def min_forbidden_set_size(
     a tree iff it hits every plane drawing of it. For m = 1..cap and each tree
     of ``all_trees(k)``, a depth-first search grows F from the empty set: it
     takes a drawing avoiding F from the tree's pool of oracle witnesses, or
-    else from ``exists_embedding``; with none, F forbids the tree, otherwise
+    else from the search core ``_search``, given F as an edge mask and its
+    witness checked by ``_witness``; with none, F forbids the tree, otherwise
     each edge of the drawing extends F, which reaches every forbidding set of
     size m. The first set found is returned, not always the lexicographically
     first. ``budget`` bounds each oracle call, and a run-out raises
@@ -194,23 +225,20 @@ def min_forbidden_set_size(
         raise ValueError("need 2 <= k <= n")
     if size_cap < 1:
         raise ValueError("size_cap must be positive")
-    edges = [Edge(a, b) for a in range(n) for b in range(a + 1, n)]
-    edge_of = {s.edge_id(e): e for e in edges}
-
-    def edge_set(f: int) -> EdgeSet:
-        return EdgeSet(e for i, e in edge_of.items() if f >> i & 1)
+    if budget <= 0:
+        raise ValueError("budget must be positive")
 
     def grow(t: Tree, pool: list[int], f: int, depth: int) -> int | None:
         """A forbidding edge mask of f plus at most depth edges, or None."""
         w = next((w for w in pool if not w & f), None)
         if w is None:
-            report = exists_embedding(t, s, edge_set(f), budget)
-            if report.unknown:
-                raise SearchBudgetExceeded(
-                    f"verdict unknown after {report.nodes_expanded} nodes")
-            if not report.feasible:
+            found, asg, nodes, _, _ = _search(t, s, f, budget)
+            if found is None:
+                raise SearchBudgetExceeded(f"verdict unknown after {nodes} nodes")
+            if not found:
                 return f
-            w = sum(1 << s.edge_id(e) for e in report.witness.segment_edges())
+            _witness(t, s, asg, f)
+            w = sum(1 << (min(asg[u], asg[v]) * n + max(asg[u], asg[v])) for u, v in t.edges)
             pool.append(w)
         while depth and w:
             found = grow(t, pool, f | (w & -w), depth - 1)
@@ -221,9 +249,9 @@ def min_forbidden_set_size(
 
     trees = all_trees(k)
     pools: list[list[int]] = [[] for _ in trees]
-    for m in range(1, min(size_cap, len(edges)) + 1):
+    for m in range(1, min(size_cap, n * (n - 1) // 2) + 1):
         for t, pool in zip(trees, pools):
             found = grow(t, pool, 0, m)
             if found is not None:
-                return MinForbidResult(m, edge_set(found), t)
+                return MinForbidResult(m, EdgeSet(Edge(a, b) for a, b in _edge_pairs(found, n)), t)
     return None

@@ -268,3 +268,15 @@ def test_verify_embedding_defect_is_a_failed_case(monkeypatch, capsys):
     assert lines[0]["note"] == "EmbeddingDefectError: broken on purpose"
     assert lines[-1]["failures"] == len(lines) - 1 == 2
 
+
+
+def test_parser_is_reused_after_an_argparse_error(tmp_path, capsys):
+    # the parser is built once per process, so an error exit must leave it as it was
+    pts = tmp_path / "pts.json"
+    run(capsys, "gen", "--n", "6", "--seed", "3", "--mode", "random", "--out", str(pts))
+    argv = ("search-min", "--points", str(pts), "--k", "6", "--cap", "3")
+    first = run(capsys, *argv)
+    with pytest.raises(SystemExit) as ex:
+        main(["embed", "--points", str(pts)])
+    assert ex.value.code == 2 and "--tree" in capsys.readouterr().err
+    assert run(capsys, *argv) == first and first[0] == 0

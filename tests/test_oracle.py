@@ -1,6 +1,11 @@
+import hashlib
+import itertools
+import json
+
 import pytest
 
 from forbidtree import oracle
+from forbidtree.embedding import Embedding, EmbeddingDefectError
 from forbidtree.forbid import three_consecutive_hull_edges
 from forbidtree.generators import convex_points, random_points
 from forbidtree.geometry import Edge, EdgeSet, convex_hull
@@ -182,3 +187,57 @@ def test_forbids_consecutive_and_blanket():
 def test_size_mismatch_rejected():
     with pytest.raises(ValueError):
         exists_embedding(spider_tree(8), random_points(6, seed=1))
+
+
+def test_search_min_shape_is_pinned(monkeypatch):
+    # call and node totals of the search core, and a digest of the answers, over
+    # the 24 search-min inputs; the figures were taken with every call made
+    # through exists_embedding, so the core must search exactly as that did
+    calls = nodes = 0
+    search = oracle._search
+
+    def spy(*args):
+        nonlocal calls, nodes
+        result = search(*args)
+        calls += 1
+        nodes += result[2]
+        return result
+
+    monkeypatch.setattr(oracle, "_search", spy)
+    answers = []
+    for i in range(24):
+        res = min_forbidden_set_size(random_points(6, 1000 + i), 6, 3)
+        answers.append({"size": res.size, "edges": res.edges.to_json()["edges"],
+                        "tree": res.tree.to_json()})
+    assert (calls, nodes) == (1885, 156576)
+    digest = hashlib.sha256(json.dumps(answers, sort_keys=True).encode()).hexdigest()
+    assert digest == "31fedaadd1dd2d3b507b8d4fb68fa0f3e04b6dce8b0d8b0ba57f22fcc2db2336"
+
+
+def test_witness_check_fires(monkeypatch):
+    search = oracle._search
+    s = convex_points(5, seed=1)
+    path = Tree(5, [(i, i + 1) for i in range(4)])
+
+    def crossing(t, s, forb_mask, budget):
+        # a drawing with a crossing where the tree has two disjoint edges
+        for asg in itertools.permutations(range(len(s)), t.k):
+            if Embedding(t, s, asg).crossing_count():
+                return True, list(asg), 1, 0, 0
+        return search(t, s, forb_mask, budget)
+
+    def ignoring(t, s, forb_mask, budget):
+        # a plane drawing that ignores the forbidden edges
+        return search(t, s, 0, budget)
+
+    monkeypatch.setattr(oracle, "_search", crossing)
+    with pytest.raises(EmbeddingDefectError):
+        exists_embedding(path, s)
+    with pytest.raises(EmbeddingDefectError):
+        min_forbidden_set_size(s, 5, 3)
+    monkeypatch.setattr(oracle, "_search", ignoring)
+    drawn = exists_embedding(path, s).witness.segment_edges()
+    with pytest.raises(AssertionError, match="forbidden edge"):
+        exists_embedding(path, s, EdgeSet(drawn[:1]))
+    with pytest.raises(AssertionError, match="forbidden edge"):
+        min_forbidden_set_size(s, 5, 3)
