@@ -194,6 +194,7 @@ def cmd_render(args) -> int:
     forbidden = None
     if args.forbidden:
         forbidden = EdgeSet.from_json(_load_json(args.forbidden))
+        forbidden.validate_for(s)
     Path(args.svg).write_text(render_svg(s, emb, forbidden))
     return 0
 

@@ -443,7 +443,7 @@ def embed_recursive(
     return emb
 
 
-def _find_edge_use(rt: RootedTree, asg: list[int], e: Edge) -> tuple[int, int] | None:
+def _find_edge_use(rt: RootedTree, asg: Sequence[int], e: Edge) -> tuple[int, int] | None:
     """Tree edge (parent, child) currently drawn on e, if any."""
     target = {e.a, e.b}
     for u, v in rt.tree.edges:
@@ -454,12 +454,27 @@ def _find_edge_use(rt: RootedTree, asg: list[int], e: Edge) -> tuple[int, int] |
     return None
 
 
+@lru_cache(maxsize=1)
+def _single_base(t: Tree, s: PointSet) -> tuple[RootedTree, Embedding]:
+    """The rooting and first wedge run of embed_avoiding_single, kept for the next call.
+
+    The default plan places no whole subtree, and only such placements read
+    the forbidden edge, so the first run is the same for every edge; a
+    sweep over the edges of one tree and set draws it once.
+    """
+    rt = sort_children_by_subtree_size(root_at(t, 0))
+    return rt, Embedding(t, s, tuple(_Engine(s, rt, _default_plan(rt)).run()))
+
+
 def embed_avoiding_single(t: Tree, s: PointSet, e: Edge) -> Embedding:
     """Embed a spanning tree without using the single forbidden edge.
 
     Runs the recursive algorithm with children in increasing subtree-size
-    order, always taking the clockwise extreme. If the forbidden edge shows
-    up, a repair is applied at the failing parent/child pair and the plan is
+    order, always taking the clockwise extreme. That first run does not
+    depend on the edge, so it is drawn once per (tree, set) and shared: a
+    drawing that avoids the edge is returned as it is, and the same object
+    may be returned for other edges. If the forbidden edge shows up, a
+    repair is applied at the failing parent/child pair and the plan is
     re-run; each repair either eliminates the edge or reduces to a case that
     does. A generous iteration cap turns any unexpected repair loop into a
     loud defect instead of an infinite loop.
@@ -471,10 +486,15 @@ def embed_avoiding_single(t: Tree, s: PointSet, e: Edge) -> Embedding:
         raise ValueError("single-edge avoidance is supported for n >= 5")
     if e.b >= n:
         raise IndexError(f"edge {e} out of range for {n} points")
-    rt = sort_children_by_subtree_size(root_at(t, 0))
+    rt, base = _single_base(t, s)
+    if not base.uses_edge(e):
+        base.validate()
+        return base
     plan = _default_plan(rt)
-    for _ in range(n * n):
-        asg = _Engine(s, rt, plan, forbidden=e).run()
+    asg = base.assignment
+    for i in range(n * n):
+        if i:
+            asg = _Engine(s, rt, plan, forbidden=e).run()
         bad = _find_edge_use(rt, asg, e)
         if bad is None:
             emb = Embedding(t, s, tuple(asg))
@@ -487,7 +507,7 @@ def embed_avoiding_single(t: Tree, s: PointSet, e: Edge) -> Embedding:
     )
 
 
-def _apply_repair(rt: RootedTree, plan: RepairPlan, u: int, v: int, asg: list[int]) -> None:
+def _apply_repair(rt: RootedTree, plan: RepairPlan, u: int, v: int, asg: Sequence[int]) -> None:
     """One repair step for a forbidden edge drawn on tree edge (u, v).
 
     u is the parent (at point p), v the child (at point q). The repairs,

@@ -8,13 +8,16 @@ import pytest
 from prufer_reference import prufer_trees
 
 from forbidtree.embedding import (
+    _default_plan,
+    _Engine,
+    _single_base,
     embed_avoiding_single,
     embed_convex_avoiding_two,
 )
 from forbidtree.generators import convex_points, random_points
 from forbidtree.geometry import Edge, EdgeSet, convex_hull
 from forbidtree.oracle import exists_embedding
-from forbidtree.trees import Tree, all_trees, spider_tree
+from forbidtree.trees import Tree, all_trees, root_at, sort_children_by_subtree_size, spider_tree
 
 
 def all_edges(n):
@@ -227,3 +230,67 @@ def test_spider_cell_repairs_are_pinned(monkeypatch):
                 assignments.append(emb.assignment)
                 spider_inputs += bool(reached)
     assert (spider_inputs, _digest(assignments)) == PINNED_SPIDER_CELL_SWEEP
+
+
+def test_first_wedge_run_ignores_the_forbidden_edge():
+    """The default plan's run is the same for every edge, so one base serves a sweep."""
+    for n in (5, 6, 7, 8):
+        edges = all_edges(n)
+        for t in all_trees(n):
+            rt = sort_children_by_subtree_size(root_at(t, 0))
+            for gen in (convex_points, random_points):
+                for seed in (1, 2, 3):
+                    s = gen(n, seed)
+                    plain = _Engine(s, rt, _default_plan(rt)).run()
+                    for e in edges:
+                        assert _Engine(s, rt, _default_plan(rt), forbidden=e).run() == plain
+
+
+def test_single_base_cache_misses_and_equal_keys():
+    """Interleaved and equal-but-distinct keys give what a cold cache gives."""
+    n = 7
+    t1, t2 = all_trees(n)[1], all_trees(n)[5]
+    s1, s2 = convex_points(n, 1), random_points(n, 1)
+    t1_copy, s1_copy = Tree(n, list(t1.edges)), convex_points(n, 1)
+    assert t1_copy == t1 and t1_copy is not t1 and s1_copy == s1 and s1_copy is not s1
+    calls = [(t1, s1), (t2, s1), (t1, s2), (t1, s1), (t1_copy, s1), (t1, s1_copy),
+             (t1_copy, s1_copy)]
+    _single_base.cache_clear()
+    warm = [embed_avoiding_single(t, s, e) for t, s in calls for e in all_edges(n)]
+    cold = []
+    for t, s in calls:
+        for e in all_edges(n):
+            _single_base.cache_clear()
+            cold.append(embed_avoiding_single(t, s, e))
+    assert warm == cold
+    assert all(not emb.uses_edge(e) and emb.crossing_count() == 0
+               for emb, e in zip(warm, all_edges(n) * len(calls)))
+
+
+def test_edge_sweep_runs_the_engine_once_plus_repairs(monkeypatch):
+    """One tree x every edge: one shared first run, then one run per repair.
+
+    Drawing the first run once per edge instead would make 44 runs here
+    (36 first runs plus the same 8 re-runs).
+    """
+    import forbidtree.embedding as embedding
+    runs, repairs = [], []
+    real_run, real_repair = embedding._Engine.run, embedding._apply_repair
+
+    def run_spy(self):
+        runs.append(self.forbidden)
+        return real_run(self)
+
+    def repair_spy(*a):
+        repairs.append(a)
+        return real_repair(*a)
+
+    monkeypatch.setattr(embedding._Engine, "run", run_spy)
+    monkeypatch.setattr(embedding, "_apply_repair", repair_spy)
+    embedding._single_base.cache_clear()
+    s = convex_points(9, 1)
+    for e in all_edges(9):
+        emb = embed_avoiding_single(SPIDER_REPAIR, s, e)
+        assert not emb.uses_edge(e) and emb.crossing_count() == 0
+    assert (len(runs), len(repairs)) == (9, 8)
+    assert runs[0] is None and None not in runs[1:]

@@ -207,6 +207,19 @@ def test_render_round_trip(tmp_path, capsys):
     assert text.count("<line") == 7
 
 
+def test_render_out_of_range_forbidden_edge_is_input_error(tmp_path, capsys):
+    pts = tmp_path / "pts.json"
+    forb = tmp_path / "forb.json"
+    svg = tmp_path / "out.svg"
+    run(capsys, "gen", "--n", "7", "--out", str(pts))
+    forb.write_text(json.dumps({"edges": [[0, 9]]}))
+    code, out, err = run(capsys, "render", "--points", str(pts), "--forbidden", str(forb),
+                         "--svg", str(svg))
+    assert code == 2 and out == ""
+    assert err.startswith("input error") and "out of range for 7 points" in err
+    assert not svg.exists()
+
+
 def test_verify_rejects_parameters_the_suite_does_not_take(capsys):
     # a flag the suite lacks, an n its embedder does not take, an empty range
     for argv in (("--suite", "blanket", "--n", "7"), ("--suite", "conf3", "--seeds", "1"),
