@@ -185,9 +185,7 @@ def cmd_render(args) -> int:
     emb = None
     if args.embedding:
         if not args.tree:
-            print("--embedding requires --tree to reconstruct segments",
-                  file=sys.stderr)
-            return 2
+            raise ValueError("--embedding requires --tree to reconstruct segments")
         t = _load_tree(args.tree)
         assignment = json_ints(json_field(_load_json(args.embedding), "assignment"))
         emb = Embedding(t, s, tuple(assignment))

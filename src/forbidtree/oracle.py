@@ -51,13 +51,23 @@ class SearchReport:
 
 
 @lru_cache(maxsize=1024)
-def _search_rooting(t: Tree) -> RootedTree:
-    """The tree rooted for the search, cached per tree (equal trees share one entry).
+def _search_rooting(t: Tree) -> tuple[RootedTree, tuple[int, ...]]:
+    """The tree rooted for the search, and each vertex's twin; cached per tree.
 
     The root is the lowest-index vertex of maximum degree, since early
-    placements constrain the most edges.
+    placements constrain the most edges. The twin of v is its nearest
+    earlier sibling whose rooted subtree has the same AHU code, or -1.
+    Equal trees share one entry.
     """
-    return root_at(t, min(range(t.k), key=lambda v: (-t.degree(v), v)))
+    rt = root_at(t, min(range(t.k), key=lambda v: (-t.degree(v), v)))
+    code = [""] * t.k
+    for v in reversed(rt.order):
+        code[v] = "(" + "".join(sorted(code[c] for c in rt.children[v])) + ")"
+    twin = [-1] * t.k
+    for kids in rt.children:
+        for i, v in enumerate(kids):
+            twin[v] = next((u for u in reversed(kids[:i]) if code[u] == code[v]), -1)
+    return rt, tuple(twin)
 
 
 def _search(
@@ -74,11 +84,17 @@ def _search(
     each level are the parent point's row of ``s.candidate_rows()``: each
     entry carries the point, the edge's bit and its crossing mask, so a
     candidate edge costs two ``&`` tests. Points are tried in ascending
-    order. Exhaustive within the budget; the verdict is None when the
-    budget runs out. The assignment is unchecked: see ``_witness``.
+    order. A vertex with a twin (see ``_search_rooting``) tries only points
+    above its twin's: swapping two isomorphic sibling subtrees redraws the
+    same segments, so the lexicographically first drawing, the one found
+    first, obeys that rule, and the verdict and assignment are those of the
+    unrestricted search. A node is a candidate tried; the points a twin
+    skips are not counted. Exhaustive within the budget; the verdict is
+    None when the budget runs out. The assignment is unchecked: see
+    ``_witness``.
     """
     k, n = t.k, len(s)
-    rt = _search_rooting(t)
+    rt, twin = _search_rooting(t)
     order, parent_of = rt.order, rt.parent
 
     rows = s.candidate_rows()
@@ -91,7 +107,12 @@ def _search(
         """Place order[i] (i >= 1) next to its placed parent; placed = drawn edge bits."""
         nonlocal nodes, crossing_prunes, forbidden_prunes
         v = order[i]
-        for pt, bit, crossed in rows[asg[parent_of[v]]]:
+        p = asg[parent_of[v]]
+        row = rows[p]
+        if twin[v] >= 0:  # rows run in ascending point and skip p itself
+            lo = asg[twin[v]]
+            row = row[lo + 1 - (lo > p):]
+        for pt, bit, crossed in row:
             if used[pt]:
                 continue
             nodes += 1

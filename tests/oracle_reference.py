@@ -1,10 +1,13 @@
 """The oracle's depth-first search as it stood before candidate rows: the reference.
 
 A frozen copy of ``exists_embedding``'s search loop, which looped over every
-point at every level and indexed the crossing table by ``row + pt``. Tests
-compare every report field of the package oracle (verdict, node and prune
-counts, witness assignment, run-outs included) against it, so a rewrite of
-the loop has to keep its order, its counters and its budget cut-off.
+point at every level and indexed the crossing table by ``row + pt``. The
+package oracle has to dominate it: wherever the reference settles within a
+budget, the oracle settles too, with the same verdict and witness
+assignment; unbounded, it expands no more nodes and prunes no more
+branches; and its own budget cut-off is exact. A rewrite of the loop may
+visit fewer nodes (twin subtrees are tried in one point order), but never
+another witness.
 """
 from __future__ import annotations
 

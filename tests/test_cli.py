@@ -112,6 +112,7 @@ EMBED = "embed --tree tree.json --points points.json"
     (EMBED, {"tree.json": {"k": 3.0, "edges": [[0, 1], [1, 2]]}}),
     ("render --points points.json --tree tree.json --embedding emb.json --svg out.svg",
      {"emb.json": {"assignment": [0, True, 2]}}),
+    ("render --points points.json --embedding emb.json --svg out.svg", {}),
 ])
 def test_malformed_json_is_input_error(tmp_path, monkeypatch, capsys, argv, bad):
     monkeypatch.chdir(tmp_path)
