@@ -215,11 +215,9 @@ class _Engine:
         return self.asg
 
     def _blocks(self, v: int, v_pt: int, cell: list[int]) -> Iterator[tuple[int, list[int]]]:
-        """v's children paired with their angular blocks of cell around v's point."""
+        """v's children paired with their angular blocks of cell (one point per descendant)."""
         kids = self.plan.child_order[v]
         if not kids:
-            if cell:
-                raise EmbeddingDefectError("leaf cell is not empty")
             return iter(())
         order = angular_sort(self.s, v_pt, cell)
         blocks = []
@@ -228,8 +226,6 @@ class _Engine:
             size = self.rt.subtree_size[c]
             blocks.append(order[pos:pos + size])
             pos += size
-        if pos != len(order):
-            raise EmbeddingDefectError("cell size does not match child subtree sizes")
         if self.trace is not None:
             self.trace.append(WedgePartition(v_pt, tuple(tuple(b) for b in blocks)))
         return zip(kids, blocks)
@@ -508,18 +504,32 @@ def embed_avoiding_single(t: Tree, s: PointSet, e: Edge) -> Embedding:
 
 
 def _apply_repair(rt: RootedTree, plan: RepairPlan, u: int, v: int, asg: Sequence[int]) -> None:
-    """One repair step for a forbidden edge drawn on tree edge (u, v).
+    """One repair step for a forbidden edge e drawn on tree edge (u, v).
 
     u is the parent (at point p), v the child (at point q). The repairs,
     tried in a fixed hierarchy:
       a. v's subtree has >= 2 nodes: pick a different visible hull vertex.
-      b. v is a leaf with a bigger sibling: move that sibling onto v's block
-         start and steer it off q.
+      b. v is a leaf with a bigger sibling: move the first bigger sibling v2
+         onto v's block start and steer it off q.
       c. v is a leaf and so are all its siblings: re-fan u's star subtree
          from a cell point off the forbidden edge.
       d. v is an only-child leaf: fix the grandparent's chain cell, shift
          the block boundaries at the grandparent, or re-anchor a spider
          subtree (at the root or inside its own cell).
+
+    Every repair finds the child orders of u and z ascending by subtree
+    size, as they start, so rule (b) finds v2 after v. A plan edit at a
+    vertex moves only points of its subtree, each subtree stays in its own
+    block, and the last run drew only (u, v) on e, so every rule but (d)'s
+    reorder ends the loop. (a) v moves off q to another visible point (a
+    block's two extremes are visible). (b) q starts v2's block, v2 moves
+    off it the same way, and u's leaves sit elsewhere. (c), (d)'s chain and
+    spider: the star center and the chain middle are off e, and the spider
+    search skips it. (d)'s leaf shift: u's block slides back one point and
+    keeps one of p and q; the leaf takes the other, from z's point. (d)'s
+    reorder puts u2, of >= 3 vertices, on u's block start, so p and q both
+    fall in u2's block: the next edge on e lies in u2's subtree, whose
+    child orders are untouched.
     """
     size = rt.subtree_size
     child_order, avoid = plan.child_order, plan.avoid
@@ -527,36 +537,21 @@ def _apply_repair(rt: RootedTree, plan: RepairPlan, u: int, v: int, asg: Sequenc
     if size[v] >= 2:
         avoid.setdefault(v, set()).add(q)
         return
-    siblings_v = [c for c in child_order[u] if c != v]
-    big_v = [c for c in siblings_v if size[c] >= 2]
-    if big_v:
-        pos_v = child_order[u].index(v)
-        # The bigger sibling must come from after v so that moving it onto
-        # v's slot actually shifts v's singleton block off q.
-        later = [c for c in big_v if child_order[u].index(c) > pos_v]
-        if later:
-            v2 = later[0]
-            child_order[u].remove(v2)
-            child_order[u].insert(child_order[u].index(v), v2)
-            avoid.setdefault(v2, set()).add(q)
-        else:
-            # mutated order left every big sibling before v: push v to the
-            # front so the block boundaries shift and q lands in a bigger
-            # sibling's block, which the next repair round resolves
-            child_order[u].remove(v)
-            child_order[u].insert(0, v)
+    # child_order[u] is ascending here (see above), so v2 comes after v
+    v2 = next((c for c in child_order[u] if size[c] >= 2), None)
+    if v2 is not None:
+        child_order[u].remove(v2)
+        child_order[u].insert(child_order[u].index(v), v2)
+        avoid.setdefault(v2, set()).add(q)
         return
-    if siblings_v:
+    if len(child_order[u]) > 1:
         plan.placements[u] = Placement.STAR
         return
-    # v is the only child of u and a leaf
+    # v is the only child of u and a leaf; with n >= 5 points, u has a
+    # parent z, and z has a parent if u is its only child
     z = rt.parent[u]
-    if z is None:
-        raise EmbeddingDefectError("2-vertex tree cannot reach the repair stage")
     siblings_u = [c for c in child_order[z] if c != u]
     if not siblings_u:
-        if rt.parent[z] is None:
-            raise EmbeddingDefectError("3-vertex tree cannot reach the repair stage")
         plan.placements[z] = Placement.PATH3
         return
     big_u = [c for c in siblings_u if size[c] >= 3
@@ -583,11 +578,9 @@ def _apply_repair(rt: RootedTree, plan: RepairPlan, u: int, v: int, asg: Sequenc
 def embed_few_hull_edges(t: Tree, s: PointSet) -> Embedding:
     """Embed a spanning tree into convex position using < n/2 hull edges.
 
-    Stars fan from a hull point (2 hull edges); paths zig-zag (at most 2).
-    Any other tree is rooted at a vertex of degree >= 3 with a non-leaf
-    child placed first, children steered off hull edges whenever their
-    block offers a choice; if the count still reaches n/2, a non-leaf child
-    of the root is moved last and the plan re-run.
+    Paths zig-zag along the hull order (at most 2 hull edges). Any other
+    tree takes one wedge run steered off hull edges, ``_few_hull_general``:
+    exactly 2 hull edges for a star, at most (n - 1)/2 for the rest.
     """
     n = len(s)
     if t.k != n:
@@ -595,13 +588,7 @@ def embed_few_hull_edges(t: Tree, s: PointSet) -> Embedding:
     if n < 5:
         raise ValueError("the hull-edge bound needs n >= 5")
     require_convex_position(s)
-    if t.is_star():
-        center = max(range(n), key=lambda v: t.degree(v))
-        emb = embed_recursive(root_at(t, center), s)
-    elif t.is_path():
-        emb = _zigzag_path(t, s)
-    else:
-        emb = _few_hull_general(t, s)
+    emb = _zigzag_path(t, s) if t.is_path() else _few_hull_general(t, s)
     emb.validate()
     if not emb.hull_edges_used() * 2 < n:
         raise EmbeddingDefectError(
@@ -630,28 +617,42 @@ def _zigzag_path(t: Tree, s: PointSet) -> Embedding:
 
 
 def _few_hull_general(t: Tree, s: PointSet) -> Embedding:
+    """The wedge run of embed_few_hull_edges for a tree that is not a path.
+
+    The root is the lowest-index vertex of degree >= 3. Its children go by
+    ascending subtree size, but the first non-leaf one, first_big, if any,
+    goes first. A child avoids a hull edge to its parent when its visible
+    points allow. This draws h < n/2 hull edges:
+    - In convex position a block is an arc of the hull, and its visible
+      chain is its two angular extremes (its point, for a block of one).
+    - Only an end block of a cell can hold a hull neighbour of the apex. A
+      non-root apex sits at an end of its block's arc, so its other hull
+      neighbour lies outside its cell: it has one such block. The root has
+      two.
+    - So a child of subtree size >= 2 has an extreme that is no hull
+      neighbour, which avoid_edges selects; a hull edge goes only to a leaf
+      in an end block: at most one per non-root apex, and at the root only
+      in the last block, since first_big fills the first.
+    - If the root's last child is a leaf, so is every child but first_big
+      (they ascend), and the root, of degree >= 3, has >= 2 leaf children.
+    - Charge each non-root hull edge to its apex and its leaf: distinct
+      vertices, never the root or a leaf child of it. So h <= 1 + (n - 3)/2
+      if the root's last child is a leaf, and h <= (n - 1)/2 otherwise,
+      when the root draws none. Both are less than n/2.
+    - A star has no first_big: exactly its first and last leaves use hull
+      edges, 2 < n/2 for n >= 5.
+    """
     n = t.k
     root = min(v for v in range(n) if t.degree(v) >= 3)
     rt = sort_children_by_subtree_size(root_at(t, root))
     plan = _default_plan(rt)
     plan.avoid_edges = hull_edges(s)
     kids = plan.child_order[root]
-    first_big = next(c for c in kids if rt.subtree_size[c] >= 2)
-    kids.remove(first_big)
-    kids.insert(0, first_big)
-
-    def run() -> Embedding:
-        return Embedding(t, s, tuple(_Engine(s, rt, plan).run()))
-
-    emb = run()
-    if emb.hull_edges_used() * 2 >= n:
-        movable = [c for c in kids[1:] if rt.subtree_size[c] >= 2]
-        if not movable:
-            raise EmbeddingDefectError("no movable non-leaf child at the root")
-        kids.remove(movable[0])
-        kids.append(movable[0])
-        emb = run()
-    return emb
+    first_big = next((c for c in kids if rt.subtree_size[c] >= 2), None)
+    if first_big is not None:
+        kids.remove(first_big)
+        kids.insert(0, first_big)
+    return Embedding(t, s, tuple(_Engine(s, rt, plan).run()))
 
 
 def rotate_embedding(emb: Embedding, i: int) -> Embedding:

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from .embedding import Embedding
 from .geometry import Edge, EdgeSet, PointSet
-from .trees import RootedTree, Tree, all_trees, root_at
+from .trees import RootedTree, Tree, _ahu_codes, all_trees, root_at
 
 DEFAULT_BUDGET = 10**8
 
@@ -60,9 +60,7 @@ def _search_rooting(t: Tree) -> tuple[RootedTree, tuple[int, ...]]:
     Equal trees share one entry.
     """
     rt = root_at(t, min(range(t.k), key=lambda v: (-t.degree(v), v)))
-    code = [""] * t.k
-    for v in reversed(rt.order):
-        code[v] = "(" + "".join(sorted(code[c] for c in rt.children[v])) + ")"
+    code = _ahu_codes(t, rt.order, rt.parent)
     twin = [-1] * t.k
     for kids in rt.children:
         for i, v in enumerate(kids):

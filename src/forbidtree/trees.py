@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .geometry import json_field, json_ints
 
@@ -45,9 +45,6 @@ class Tree:
 
     def is_path(self) -> bool:
         return self.k <= 2 or all(self.degree(v) <= 2 for v in range(self.k))
-
-    def is_star(self) -> bool:
-        return self.k <= 2 or max(self.degree(v) for v in range(self.k)) == self.k - 1
 
     def __eq__(self, other):
         return isinstance(other, Tree) and self.k == other.k and self.edges == other.edges
@@ -176,17 +173,20 @@ def _center_vertices(t: Tree) -> list[int]:
     return sorted(layer)
 
 
-def _rooted_encoding(t: Tree, root: int) -> str:
-    def enc(v: int, par: int) -> str:
-        subs = sorted(enc(u, v) for u in t.adjacency[v] if u != par)
-        return "(" + "".join(subs) + ")"
+def _ahu_codes(t: Tree, order: Sequence[int], parent: Sequence[int | None]) -> list[str]:
+    """AHU code of each vertex's subtree: "(" + its children's sorted codes + ")".
 
-    return enc(root, -1)
+    Built leaves first over a breadth-first ``order``, so no call stack grows.
+    """
+    code = [""] * t.k
+    for v in reversed(order):
+        code[v] = "(" + "".join(sorted(code[u] for u in t.adjacency[v] if u != parent[v])) + ")"
+    return code
 
 
 def ahu_canonical(t: Tree) -> str:
     """Canonical string: minimum center-rooted AHU encoding."""
-    return min(_rooted_encoding(t, c) for c in _center_vertices(t))
+    return min(_ahu_codes(t, *_bfs(t.adjacency, c))[c] for c in _center_vertices(t))
 
 
 @lru_cache(maxsize=None)

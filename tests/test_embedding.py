@@ -152,6 +152,27 @@ def test_few_hull_every_tree():
             assert emb.hull_edges_used() * 2 < n
 
 
+def test_few_hull_bound_on_random_trees():
+    """Past all_trees the bound rests on the counting argument of _few_hull_general."""
+    rng = random.Random(1)
+    for n in range(10, 41):
+        for seed in (1, 2, 3):
+            t = Tree(n, [(rng.randrange(v), v) for v in range(1, n)])
+            emb = embed_few_hull_edges(t, convex_points(n, seed))
+            assert emb.crossing_count() == 0
+            assert emb.hull_edges_used() * 2 < n
+
+
+def test_few_hull_star_is_the_fan_from_its_center():
+    for n in range(5, 41):
+        for seed in (1, 2, 3):
+            s = convex_points(n, seed)
+            for center in (0, n - 1):
+                star = Tree(n, [(center, v) for v in range(n) if v != center])
+                assert (embed_few_hull_edges(star, s).assignment
+                        == embed_recursive(root_at(star, center), s).assignment)
+
+
 def test_few_hull_rejects_non_convex():
     s = PointSet([(0, 0), (10, 1), (-10, 2), (1, 10), (-2, -10)])
     t = all_trees(5)[0]

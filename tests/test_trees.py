@@ -135,6 +135,19 @@ def test_ahu_relabelings_equal():
     assert ahu_canonical(p1) != ahu_canonical(star)
 
 
+def test_ahu_canonical_of_a_deep_path():
+    """Codes are built over the breadth-first order, not by recursion."""
+    k = 3000
+    path = Tree(k, [(i, i + 1) for i in range(k - 1)])
+    shuffled = Tree(k, [((i * 7) % k, ((i + 1) * 7) % k) for i in range(k - 1)])
+    def chain(m):  # a path of m vertices rooted at an end
+        return "(" * m + ")" * m
+
+    # either center roots one branch of 1,500 vertices and one of 1,499
+    assert ahu_canonical(path) == "(" + chain(1500) + chain(1499) + ")"
+    assert ahu_canonical(shuffled) == ahu_canonical(path)
+
+
 def test_ahu_matches_brute_force_on_five_vertices():
     labeled = []
     for seq in itertools.product(range(5), repeat=3):
