@@ -93,9 +93,8 @@ def cmd_embed(args) -> int:
             f1, f2 = list(forbidden)
             emb = embed_convex_avoiding_two(t, s, f1, f2)
         else:
-            print("no constructive procedure for 3+ forbidden edges; "
-                  "use search-min or the oracle", file=sys.stderr)
-            return 2
+            raise ValueError("no constructive procedure for 3+ forbidden edges; "
+                             "use search-min or the oracle")
     except EmbeddingDefectError as ex:
         print(f"embedding failed: {ex}", file=sys.stderr)
         return 1
@@ -107,9 +106,7 @@ def cmd_embed(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.suite not in SUITES:
-        print(f"unknown suite {args.suite!r}; available: {', '.join(sorted(SUITES))}",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown suite {args.suite!r}; available: {', '.join(sorted(SUITES))}")
     suite = SUITES[args.suite]
     kwargs = {}
     if args.n:
@@ -119,8 +116,7 @@ def cmd_verify(args) -> int:
     params = inspect.signature(suite).parameters
     for flag, name in (("--n", "ns"), ("--seeds", "seeds")):
         if name in kwargs and name not in params:
-            print(f"suite {args.suite!r} does not take {flag}", file=sys.stderr)
-            return 2
+            raise ValueError(f"suite {args.suite!r} does not take {flag}")
     sink = open(args.out, "w") if args.out else sys.stdout
     failures = unknown = total = 0
     try:
@@ -145,9 +141,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    if args.k < 3:
-        print("k must be at least 3", file=sys.stderr)
-        return 2
     # On a convex set an edge's depth is fixed by its cyclic gap, so the
     # blanket size depends on n and k only.
     blanket = r_edge_blanket(convex_points(args.n), args.k)

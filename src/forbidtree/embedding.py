@@ -160,17 +160,16 @@ class RepairPlan:
     """The whole policy of one wedge run; repair rounds change it, the engine only reads it.
 
     A child goes to the first visible hull vertex of its block, in
-    counter-clockwise order around its parent (the clockwise extreme), that
-    the plan does not pass over:
+    counter-clockwise order around its parent (the clockwise extreme), whose
+    edge to the parent is not in avoid_edges, if the visible hull offers one:
     child_order: per-vertex child order, which fixes the order of the blocks.
-    avoid: per-vertex points to pass over when the visible hull offers another.
-    avoid_edges: edges not to draw a child on when the points left offer another.
+    avoid_edges: edges not to draw a child on; the hull edges for few-hull,
+      the forbidden edge for every re-run of the single-edge repair.
     placements: whole-subtree placements keyed by subtree root.
     root_anchor: the point of the center when the tree root is a SPIDER.
     """
 
     child_order: list[list[int]]
-    avoid: dict[int, set[int]] = field(default_factory=dict)
     avoid_edges: frozenset[Edge] = frozenset()
     placements: dict[int, Placement] = field(default_factory=dict)
     root_anchor: int | None = None
@@ -182,6 +181,9 @@ class _Engine:
     Each cell is sorted once around its apex. A child block is a slice of
     that order, so it is read as it is, and its subtree is drawn inside its
     own cone from the apex, which no segment of another cone enters.
+
+    forbidden is the edge the whole-subtree placements keep off; only the
+    single-edge repair's re-runs set placements, and they always pass it.
     """
 
     def __init__(
@@ -236,6 +238,8 @@ class _Engine:
         An explicit stack of per-vertex block iterators replaces recursion,
         so a tree as deep as a long path needs no deep Python call stack.
         """
+        # avoid_edges as ordered point pairs, so a candidate costs no Edge
+        off = {pair for e in self.plan.avoid_edges for pair in ((e.a, e.b), (e.b, e.a))}
         stack = [(v_pt, self._blocks(v, v_pt, cell))]
         while stack:
             v_pt, blocks = stack[-1]
@@ -253,12 +257,9 @@ class _Engine:
                 else:
                     self._place_spider(c, v_pt, block)
                 continue
-            visible = _facing_chain(self.s.xy, block)
-            banned = self.plan.avoid.get(c, ())
-            cand = [q for q in visible if q not in banned] or visible
-            off = self.plan.avoid_edges
+            cand = _facing_chain(self.s.xy, block)
             if off:
-                cand = [q for q in cand if Edge(v_pt, q) not in off] or cand
+                cand = [q for q in cand if (v_pt, q) not in off] or cand
             c_pt = cand[0]
             self.asg[c] = c_pt
             rest = [x for x in block if x != c_pt]
@@ -269,14 +270,12 @@ class _Engine:
 
         All fan edges share the center, and so does the attachment edge, so
         the drawing is planar for any center choice; picking a center off
-        the forbidden edge's endpoints eliminates that edge.
+        the forbidden edge's endpoints eliminates that edge. Such a center
+        exists: the block holds a vertex and its >= 2 leaves, so at least 3
+        points, or, at the root, all n >= 5.
         """
         e = self.forbidden
-        banned = {e.a, e.b} if e is not None else set()
-        choices = [x for x in block if x not in banned]
-        if not choices:
-            raise EmbeddingDefectError("no center choice left for star placement")
-        center = min(choices)
+        center = min(x for x in block if x != e.a and x != e.b)
         self.asg[c] = center
         rest = sorted(x for x in block if x != center)
         for leaf, pt in zip(self.plan.child_order[c], rest):
@@ -289,18 +288,17 @@ class _Engine:
         middle vertex to the third cell point; every such drawing is planar
         because the two chain segments share the middle point and the
         attachment only touches the cell at a visible hull vertex.
+
+        The block is {z's point, p, q} for e = (p, q), as in the last run,
+        since a plan edit at z leaves z's block as it was. One of p and q is
+        an angular extreme of the 3 points, and both extremes are visible.
         """
         e = self.forbidden
-        if e is None or len(block) != 3 or e.a not in block or e.b not in block:
-            raise EmbeddingDefectError("3-point cell repair applied to a bad cell")
-        (third,) = [x for x in block if x not in (e.a, e.b)]
-        visible = _facing_chain(self.s.xy, block)
-        if e.a in visible:
+        (third,) = [x for x in block if x != e.a and x != e.b]
+        if e.a in _facing_chain(self.s.xy, block):
             head_pt, tail_pt = e.a, e.b
-        elif e.b in visible:
-            head_pt, tail_pt = e.b, e.a
         else:
-            raise EmbeddingDefectError("neither forbidden endpoint visible in 3-cell")
+            head_pt, tail_pt = e.b, e.a
         u = self.plan.child_order[z][0]
         v = self.plan.child_order[u][0]
         self.asg[z] = head_pt
@@ -316,10 +314,9 @@ class _Engine:
         strictly between its two even-rank endpoints). The legs are then
         completed by exhaustive search over all pairings; the search space is
         complete for the fixed center, so failure is a reportable defect.
+        Both endpoints of e lie in the block, as for _place_path3.
         """
         e = self.forbidden
-        if e is None or e.a not in block or e.b not in block:
-            raise EmbeddingDefectError("spider repair applied to a bad cell")
         ra, rb = sorted((block.index(e.a), block.index(e.b)))
         if ra % 2 == 1:
             t = ra
@@ -350,7 +347,7 @@ class _Engine:
         can cross only the attach edge or another of its own legs.
         """
         e = self.forbidden
-        banned = {e.a, e.b} if e is not None else None
+        banned = {e.a, e.b}
         xy = self.s.xy
 
         def ok(new: tuple[int, int], against: list[tuple[int, int]]) -> bool:
@@ -388,13 +385,12 @@ class _Engine:
         unique reflex gap (if any), so every consecutive pair subtends less
         than pi at the center. Legs pair up consecutive points; a leg whose
         natural spoke target is the forbidden edge's other endpoint swaps
-        its two points.
+        its two points. The anchor is an endpoint of e: it is the point of
+        the root's child u, and the last run drew (u, v) on e.
         """
         e = self.forbidden
         rt = self.rt
         p = parent_endpoint
-        if e is None or p not in (e.a, e.b):
-            raise EmbeddingDefectError("root spider repair lost its anchor")
         q = e.b if e.a == p else e.a
         others = polar_order(self.s, p, [i for i in range(len(self.s)) if i != p])
         m = len(others)
@@ -471,9 +467,10 @@ def embed_avoiding_single(t: Tree, s: PointSet, e: Edge) -> Embedding:
     drawing that avoids the edge is returned as it is, and the same object
     may be returned for other edges. If the forbidden edge shows up, a
     repair is applied at the failing parent/child pair and the plan is
-    re-run; each repair either eliminates the edge or reduces to a case that
-    does. A generous iteration cap turns any unexpected repair loop into a
-    loud defect instead of an infinite loop.
+    re-run with the edge in avoid_edges, which steers every child whose
+    first candidate would draw it; each repair either eliminates the edge
+    or reduces to a case that does. A generous iteration cap turns any
+    unexpected repair loop into a loud defect instead of an infinite loop.
     """
     n = len(s)
     if t.k != n:
@@ -487,6 +484,7 @@ def embed_avoiding_single(t: Tree, s: PointSet, e: Edge) -> Embedding:
         base.validate()
         return base
     plan = _default_plan(rt)
+    plan.avoid_edges = frozenset({e})
     asg = base.assignment
     for i in range(n * n):
         if i:
@@ -506,11 +504,16 @@ def embed_avoiding_single(t: Tree, s: PointSet, e: Edge) -> Embedding:
 def _apply_repair(rt: RootedTree, plan: RepairPlan, u: int, v: int, asg: Sequence[int]) -> None:
     """One repair step for a forbidden edge e drawn on tree edge (u, v).
 
-    u is the parent (at point p), v the child (at point q). The repairs,
-    tried in a fixed hierarchy:
-      a. v's subtree has >= 2 nodes: pick a different visible hull vertex.
+    u is the parent (at point p), v the child (at point q). Every re-run
+    carries e in avoid_edges. That filter changes a placement only where a
+    child's first candidate would draw e, and a child of subtree size >= 2
+    always has another: its block's two angular extremes are visible. A
+    drawing uses e at most once, so the filter moves nothing that the last
+    run drew off e. The repairs, tried in a fixed hierarchy:
+      a. v's subtree has >= 2 nodes: no plan edit; the filter moves v off q
+         (only the first run, which has no filter, gets here).
       b. v is a leaf with a bigger sibling: move the first bigger sibling v2
-         onto v's block start and steer it off q.
+         onto v's block start; the filter steers it off q, as u sits at p.
       c. v is a leaf and so are all its siblings: re-fan u's star subtree
          from a cell point off the forbidden edge.
       d. v is an only-child leaf: fix the grandparent's chain cell, shift
@@ -521,28 +524,25 @@ def _apply_repair(rt: RootedTree, plan: RepairPlan, u: int, v: int, asg: Sequenc
     size, as they start, so rule (b) finds v2 after v. A plan edit at a
     vertex moves only points of its subtree, each subtree stays in its own
     block, and the last run drew only (u, v) on e, so every rule but (d)'s
-    reorder ends the loop. (a) v moves off q to another visible point (a
-    block's two extremes are visible). (b) q starts v2's block, v2 moves
-    off it the same way, and u's leaves sit elsewhere. (c), (d)'s chain and
+    reorder ends the loop. (a) v moves off q. (b) q starts v2's block, v2
+    moves off it, and u's leaves sit elsewhere. (c), (d)'s chain and
     spider: the star center and the chain middle are off e, and the spider
     search skips it. (d)'s leaf shift: u's block slides back one point and
     keeps one of p and q; the leaf takes the other, from z's point. (d)'s
     reorder puts u2, of >= 3 vertices, on u's block start, so p and q both
     fall in u2's block: the next edge on e lies in u2's subtree, whose
-    child orders are untouched.
+    child orders are untouched, and it goes to a leaf, as the filter steers
+    every bigger child.
     """
     size = rt.subtree_size
-    child_order, avoid = plan.child_order, plan.avoid
-    p, q = asg[u], asg[v]
+    child_order = plan.child_order
     if size[v] >= 2:
-        avoid.setdefault(v, set()).add(q)
         return
     # child_order[u] is ascending here (see above), so v2 comes after v
     v2 = next((c for c in child_order[u] if size[c] >= 2), None)
     if v2 is not None:
         child_order[u].remove(v2)
         child_order[u].insert(child_order[u].index(v), v2)
-        avoid.setdefault(v2, set()).add(q)
         return
     if len(child_order[u]) > 1:
         plan.placements[u] = Placement.STAR
@@ -572,7 +572,7 @@ def _apply_repair(rt: RootedTree, plan: RepairPlan, u: int, v: int, asg: Sequenc
     # every sibling subtree of u is a 2-vertex chain: spider territory
     plan.placements[z] = Placement.SPIDER
     if rt.parent[z] is None:
-        plan.root_anchor = p
+        plan.root_anchor = asg[u]
 
 
 def embed_few_hull_edges(t: Tree, s: PointSet) -> Embedding:

@@ -294,3 +294,81 @@ def test_edge_sweep_runs_the_engine_once_plus_repairs(monkeypatch):
         assert not emb.uses_edge(e) and emb.crossing_count() == 0
     assert (len(runs), len(repairs)) == (9, 8)
     assert runs[0] is None and None not in runs[1:]
+
+
+def test_reorder_then_filter_takes_two_runs(monkeypatch):
+    """Rule (d)'s reorder is the only repair: its re-run's edge filter steers the moved child.
+
+    The base draws leaf 4 on e; the reorder puts the 3-vertex chain 1, 3, 5
+    on the root's first block, where child 3's first candidate would draw
+    e, and the filter moves it in the same run.
+    """
+    import forbidtree.embedding as embedding
+    runs = []
+    real_run = embedding._Engine.run
+
+    def run_spy(self):
+        runs.append(self.forbidden)
+        return real_run(self)
+
+    monkeypatch.setattr(embedding._Engine, "run", run_spy)
+    embedding._single_base.cache_clear()
+    t = Tree(6, [(0, 1), (0, 2), (1, 3), (2, 4), (3, 5)])
+    emb = embed_avoiding_single(t, convex_points(6, 1), Edge(0, 1))
+    assert emb.assignment == (5, 0, 3, 2, 4, 1)
+    assert runs == [None, Edge(0, 1)]
+
+
+def test_placements_get_the_cells_their_proofs_promise(monkeypatch):
+    """The whole-subtree placements run only on the cells their docstrings prove.
+
+    STAR: a point off e. PATH3: exactly 3 points, both ends of e, one of
+    them visible. SPIDER: both ends of e. Root spider: anchored on e.
+    """
+    import forbidtree.embedding as embedding
+    from forbidtree.geometry import _facing_chain
+    reached = set()
+
+    def check_star(self, c, block):
+        e = self.forbidden
+        assert any(x not in (e.a, e.b) for x in block)
+
+    def check_path3(self, z, block):
+        e = self.forbidden
+        assert len(block) == 3 and e.a in block and e.b in block
+        assert {e.a, e.b} & set(_facing_chain(self.s.xy, block))
+
+    def check_spider(self, z, attach_pt, block):
+        e = self.forbidden
+        assert e.a in block and e.b in block
+
+    def check_root_spider(self, anchor):
+        assert anchor in (self.forbidden.a, self.forbidden.b)
+
+    for name, check in (("_place_star", check_star), ("_place_path3", check_path3),
+                        ("_place_spider", check_spider),
+                        ("_spider_from_root", check_root_spider)):
+        def spy(self, *a, _real=getattr(embedding._Engine, name), _check=check, _name=name):
+            _check(self, *a)
+            reached.add(_name)
+            return _real(self, *a)
+
+        monkeypatch.setattr(embedding._Engine, name, spy)
+
+    def sweep(t, s):
+        for e in all_edges(t.k):
+            emb = embed_avoiding_single(t, s, e)
+            assert not emb.uses_edge(e) and emb.crossing_count() == 0
+
+    for n in (5, 6):
+        for t in all_trees(n):
+            for v in range(n):
+                swap = {0: v, v: 0}
+                relabelled = Tree(n, [(swap.get(a, a), swap.get(b, b)) for a, b in t.edges])
+                for gen in (convex_points, random_points):
+                    for seed in (1, 2, 3):
+                        sweep(relabelled, gen(n, seed))
+    for gen in (convex_points, random_points):
+        for seed in (1, 2, 3):
+            sweep(SPIDER_REPAIR, gen(9, seed))
+    assert reached == {"_place_star", "_place_path3", "_place_spider", "_spider_from_root"}

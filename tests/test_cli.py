@@ -124,6 +124,23 @@ def test_malformed_json_is_input_error(tmp_path, monkeypatch, capsys, argv, bad)
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    EMBED + " --forbidden forb.json",
+    "verify --suite nope",
+    "verify --suite blanket --n 7",
+    "bounds --n 10 --k 2",
+])
+def test_refused_requests_are_input_errors(tmp_path, monkeypatch, capsys, argv):
+    """Requests the program refuses share the one input-error path of main."""
+    monkeypatch.chdir(tmp_path)
+    files = {**GOOD_FILES, "forb.json": {"edges": [[0, 1], [1, 2], [0, 2]]}}
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert err.startswith("input error") and len(err.strip().splitlines()) == 1
+
+
 def test_verify_suite_pass_and_exit_codes(tmp_path, capsys):
     out = tmp_path / "report.jsonl"
     code, _, _ = run(capsys, "verify", "--suite", "conf3", "--n", "5..6",
