@@ -1,7 +1,8 @@
 """Command-line surface: generation, embedding, verification, bounds, search, SVG.
 
 Exit codes: 0 success, 1 suite/embedding failure, 2 input error, 3 a search
-ran out of budget (verdict unknown).
+ran out of budget (verdict unknown). Besides verify's summary, which sets
+1 or 3, each nonzero code comes from one except clause of main.
 """
 from __future__ import annotations
 
@@ -83,21 +84,17 @@ def cmd_embed(args) -> int:
     if args.forbidden:
         forbidden = EdgeSet.from_json(_load_json(args.forbidden))
         forbidden.validate_for(s)
-    try:
-        if forbidden is None or len(forbidden) == 0:
-            emb = embed_recursive(root_at(t, 0), s)
-        elif len(forbidden) == 1:
-            (e,) = list(forbidden)
-            emb = embed_avoiding_single(t, s, e)
-        elif len(forbidden) == 2:
-            f1, f2 = list(forbidden)
-            emb = embed_convex_avoiding_two(t, s, f1, f2)
-        else:
-            raise ValueError("no constructive procedure for 3+ forbidden edges; "
-                             "use search-min or the oracle")
-    except EmbeddingDefectError as ex:
-        print(f"embedding failed: {ex}", file=sys.stderr)
-        return 1
+    if forbidden is None or len(forbidden) == 0:
+        emb = embed_recursive(root_at(t, 0), s)
+    elif len(forbidden) == 1:
+        (e,) = list(forbidden)
+        emb = embed_avoiding_single(t, s, e)
+    elif len(forbidden) == 2:
+        f1, f2 = list(forbidden)
+        emb = embed_convex_avoiding_two(t, s, f1, f2)
+    else:
+        raise ValueError("no constructive procedure for 3+ forbidden edges; "
+                         "use search-min or the oracle")
     _emit(emb.to_json(forbidden), args.out)
     if args.svg:
         Path(args.svg).write_text(render_svg(s, emb, forbidden))
@@ -156,11 +153,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_search_min(args) -> int:
     s = PointSet.from_json(_load_json(args.points))
-    try:
-        res = min_forbidden_set_size(s, args.k, args.cap, args.budget)
-    except SearchBudgetExceeded:
-        print("budget exhausted before a verdict", file=sys.stderr)
-        return 3
+    res = min_forbidden_set_size(s, args.k, args.cap, args.budget)
     if res is None:
         _emit({"size": None, "cap": args.cap, "k": args.k}, args.out)
     else:
@@ -250,9 +243,15 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except EmbeddingDefectError as ex:
+        print(f"embedding failed: {ex}", file=sys.stderr)
+        return 1
     except (OSError, json.JSONDecodeError, ValueError, IndexError) as ex:
         print(f"input error: {ex}", file=sys.stderr)
         return 2
+    except SearchBudgetExceeded:
+        print("budget exhausted before a verdict", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -469,8 +469,8 @@ def embed_avoiding_single(t: Tree, s: PointSet, e: Edge) -> Embedding:
     repair is applied at the failing parent/child pair and the plan is
     re-run with the edge in avoid_edges, which steers every child whose
     first candidate would draw it; each repair either eliminates the edge
-    or reduces to a case that does. A generous iteration cap turns any
-    unexpected repair loop into a loud defect instead of an infinite loop.
+    or reduces to a case that does. The loop stops after n rounds, more
+    than _apply_repair proves it needs, with a loud defect.
     """
     n = len(s)
     if t.k != n:
@@ -486,7 +486,7 @@ def embed_avoiding_single(t: Tree, s: PointSet, e: Edge) -> Embedding:
     plan = _default_plan(rt)
     plan.avoid_edges = frozenset({e})
     asg = base.assignment
-    for i in range(n * n):
+    for i in range(n):
         if i:
             asg = _Engine(s, rt, plan, forbidden=e).run()
         bad = _find_edge_use(rt, asg, e)
@@ -497,7 +497,7 @@ def embed_avoiding_single(t: Tree, s: PointSet, e: Edge) -> Embedding:
         u, v = bad
         _apply_repair(rt, plan, u, v, asg)
     raise EmbeddingDefectError(
-        f"forbidden edge still used after {n * n} repairs; this input is a reportable defect"
+        f"forbidden edge still used after {n} rounds; this input is a reportable defect"
     )
 
 
@@ -533,6 +533,14 @@ def _apply_repair(rt: RootedTree, plan: RepairPlan, u: int, v: int, asg: Sequenc
     fall in u2's block: the next edge on e lies in u2's subtree, whose
     child orders are untouched, and it goes to a leaf, as the filter steers
     every bigger child.
+
+    So the loop needs at most n - 3 rounds: the base run, then one re-run
+    per repair. Each reorder moves the next repair's grandparent z strictly
+    deeper, as the next edge on e lies in u2's subtree and u2, of >= 3
+    vertices, cannot be the next u (a vertex whose one child is a leaf). A
+    reorder needs z's subtree to hold z, u, u's leaf and u2, so z sits at
+    depth n - 6 or less: at most n - 5 reorders, then the one repair that
+    ends the loop.
     """
     size = rt.subtree_size
     child_order = plan.child_order

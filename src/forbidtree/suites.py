@@ -34,7 +34,7 @@ from .oracle import (
     forbids,
     min_forbidden_set_size,
 )
-from .trees import all_trees, root_at, spider_tree
+from .trees import MAX_ENUM_VERTICES, all_trees, root_at, spider_tree
 
 # The (n, k) blanket cases, and the bound checks: exact values up to
 # BOUNDS_N_MAX, brute-force minima at BRUTE_NS.
@@ -68,89 +68,96 @@ def spread_middles(n: int) -> tuple[int, int, int]:
     return (0, math.ceil(n / 3), math.ceil(2 * n / 3))
 
 
-def _avoidance_case(suite: str, params: dict, embed, s: PointSet, cases) -> CaseResult:
-    """Run embed(t, s, *edges) for each (t, edges) case up to the first failure.
+def _case(suite: str, params: dict, check, *args, **kwargs) -> CaseResult:
+    """Settle one case: check(counters, *args, **kwargs) returns (verdict, note).
 
-    A case fails when the embedder reports a defect, draws a forbidden edge
-    or a crossing, or when the oracle finds no drawing that avoids the
-    edges; an input it does not take raises. With no failure, an oracle
-    check that runs out of budget makes the result unknown. The counter
-    is the number of cases run.
+    The verdict is True, False or None (unknown). Here alone an exception
+    becomes an outcome: a search run-out makes the case unknown, and an
+    embedder defect fails it with the defect as its note, keeping the
+    counters written so far. Other exceptions, such as bad input, propagate.
     """
-    checked = 0
-    unknown = False
-    note = ""
+    counters: dict = {}
+    try:
+        verdict, note = check(counters, *args, **kwargs)
+    except SearchBudgetExceeded:
+        verdict, note = None, ""
+    except EmbeddingDefectError as ex:
+        verdict, note = False, f"{type(ex).__name__}: {ex}"
+    return CaseResult(suite, params, bool(verdict), unknown=verdict is None,
+                      note=note, counters=counters)
+
+
+def _avoids(counters: dict, embed, s: PointSet, cases) -> tuple[bool | None, str]:
+    """embed(t, s, *edges) avoids the edges for each (t, edges) case, up to the first failure.
+
+    A case fails on a drawing with a forbidden edge or a crossing, or when
+    the oracle finds no drawing that avoids the edges. With no failure, an
+    oracle run-out makes the verdict unknown. The counter is the cases run.
+    """
+    counters["checked"] = 0
+    verdict = True
     for t, edges in cases:
-        checked += 1
-        try:
-            emb = embed(t, s, *edges)
-        except EmbeddingDefectError as ex:
-            note = f"{type(ex).__name__}: {ex}"
-            break
+        counters["checked"] += 1
+        emb = embed(t, s, *edges)
         forbidden = EdgeSet(edges)
         if not emb.avoids(forbidden) or emb.crossing_count() != 0:
-            note = "invalid avoiding embedding"
-            break
+            return False, "invalid avoiding embedding"
         feasible = exists_embedding(t, s, forbidden).feasible
         if feasible is None:
-            unknown = True
+            verdict = None
         elif not feasible:
-            note = "oracle disagrees"
-            break
-    return CaseResult(suite, params, not note and not unknown, unknown=unknown and not note,
-                      note=note, counters={"checked": checked})
+            return False, "oracle disagrees"
+    return verdict, ""
 
 
-def _blocking_case(suite: str, params: dict, c: ForbidConstruction, s: PointSet,
-                   ok: bool = True, counters: dict | None = None) -> CaseResult:
-    """The case that c blocks its target tree on s (and that ok holds); unknown on a run-out."""
-    try:
-        blocked = forbids(c.edges, c.target_tree, s)
-    except SearchBudgetExceeded:
-        return CaseResult(suite, params, False, unknown=True)
-    return CaseResult(suite, params, blocked and ok, counters=counters or {})
+def _blocks(counters: dict, c: ForbidConstruction, s: PointSet, ok: bool = True, **found):
+    """c blocks its target tree on s, and ok holds; found joins the counters after the search."""
+    blocked = forbids(c.edges, c.target_tree, s)
+    counters.update(found)
+    return blocked and ok, ""
+
+
+def _trees_for(ns: Sequence[int]) -> list[tuple[int, list]]:
+    """(n, all_trees(n)) for every n, built before the first case so a bad n yields nothing."""
+    return [(n, all_trees(n)) for n in ns]
 
 
 def suite_baseline(ns: Sequence[int] = range(5, 9),
                    seeds: Sequence[int] = range(1, 21)) -> Iterator[CaseResult]:
     """Every tree embeds into every seeded general-position set, crossing-free."""
-    for n in ns:
-        trees = all_trees(n)
+    def check(counters, s, trees):
+        counters["trees"] = len(trees)
+        return all(embed_recursive(root_at(t, 0), s).crossing_count() == 0
+                   for t in trees), ""
+
+    for n, trees in _trees_for(ns):
         for seed in seeds:
-            s = random_points(n, seed)
-            ok = True
-            for t in trees:
-                emb = embed_recursive(root_at(t, 0), s)
-                if emb.crossing_count() != 0:
-                    ok = False
-            yield CaseResult("baseline", {"n": n, "seed": seed}, ok,
-                             counters={"trees": len(trees)})
+            yield _case("baseline", {"n": n, "seed": seed}, check, random_points(n, seed), trees)
 
 
 def suite_single_edge(ns: Sequence[int] = range(5, 8),
                       seeds: Sequence[int] = range(1, 11)) -> Iterator[CaseResult]:
     """Constructive single-edge avoidance, confirmed feasible by the oracle."""
-    for n in ns:
-        trees = all_trees(n)
+    for n, trees in _trees_for(ns):
         edges = [Edge(a, b) for a in range(n) for b in range(a + 1, n)]
         for mode, gen in (("convex", convex_points), ("random", random_points)):
             for seed in seeds:
-                yield _avoidance_case(
-                    "single-edge", {"n": n, "mode": mode, "seed": seed},
-                    embed_avoiding_single, gen(n, seed),
-                    ((t, (e,)) for t in trees for e in edges))
+                yield _case("single-edge", {"n": n, "mode": mode, "seed": seed},
+                            _avoids, embed_avoiding_single, gen(n, seed),
+                            ((t, (e,)) for t in trees for e in edges))
 
 
 def suite_few_hull(ns: Sequence[int] = range(5, 10)) -> Iterator[CaseResult]:
     """Hull-edge usage strictly below n/2 for every tree on the convex n-gon."""
-    for n in ns:
+    def check(counters, t, s):
+        emb = embed_few_hull_edges(t, s)
+        counters["hull_edges"] = used = emb.hull_edges_used()
+        return used * 2 < len(s) and emb.crossing_count() == 0, ""
+
+    for n, trees in _trees_for(ns):
         s = convex_points(n, seed=1)
-        for t in all_trees(n):
-            emb = embed_few_hull_edges(t, s)
-            used = emb.hull_edges_used()
-            yield CaseResult("few-hull", {"n": n, "tree": list(t.edges)},
-                             used * 2 < n and emb.crossing_count() == 0,
-                             counters={"hull_edges": used})
+        for t in trees:
+            yield _case("few-hull", {"n": n, "tree": list(t.edges)}, check, t, s)
 
 
 def suite_two_edge_convex(ns: Sequence[int] = (5, 6, 7)) -> Iterator[CaseResult]:
@@ -159,37 +166,36 @@ def suite_two_edge_convex(ns: Sequence[int] = (5, 6, 7)) -> Iterator[CaseResult]
     Also checks that the smallest forbidding subset on the convex n-gon has
     size exactly 3 (no singleton or pair forbids; some triple does).
     """
-    for n in ns:
+    def min_is_three(counters, s, n):
+        res = min_forbidden_set_size(s, n, 3)
+        counters["found"] = res.size if res else 0
+        return res is not None and res.size == 3, ""
+
+    for n, trees in _trees_for(ns):
         s = convex_points(n, seed=1)
         edges = [Edge(a, b) for a in range(n) for b in range(a + 1, n)]
-        yield _avoidance_case(
-            "two-edge-convex", {"n": n}, embed_convex_avoiding_two, s,
-            ((t, pair) for t in all_trees(n) for pair in itertools.combinations(edges, 2)))
-        params = {"n": n, "min_forbidden": True}
-        try:
-            res = min_forbidden_set_size(s, n, 3)
-        except SearchBudgetExceeded:
-            yield CaseResult("two-edge-convex", params, False, unknown=True)
-            continue
-        yield CaseResult("two-edge-convex", params, res is not None and res.size == 3,
-                         counters={"found": res.size if res else 0})
+        yield _case("two-edge-convex", {"n": n}, _avoids, embed_convex_avoiding_two, s,
+                    ((t, pair) for t in trees for pair in itertools.combinations(edges, 2)))
+        yield _case("two-edge-convex", {"n": n, "min_forbidden": True}, min_is_three, s, n)
 
 
 def suite_conf3(ns: Sequence[int] = range(5, 10)) -> Iterator[CaseResult]:
     """Three consecutive hull edges block the spider tree, and sharply so."""
+    def embeds(counters, s, rest):
+        rep = exists_embedding(spider_tree(len(s)), s, rest)
+        counters["nodes"] = rep.nodes_expanded
+        return rep.feasible, ""
+
     for n in ns:
         s = convex_points(n, seed=1)
         c = three_consecutive_hull_edges(s, start=0)
-        case = _blocking_case("conf3", {"n": n}, c, s)
+        case = _case("conf3", {"n": n}, _blocks, c, s)
         yield case
         if case.unknown:
             continue
         for drop in c.edges:
-            rest = EdgeSet(e for e in c.edges if e != drop)
-            rep = exists_embedding(spider_tree(n), s, rest)
-            yield CaseResult("conf3", {"n": n, "dropped": drop.to_json()},
-                             rep.feasible is True, unknown=rep.unknown,
-                             counters={"nodes": rep.nodes_expanded})
+            yield _case("conf3", {"n": n, "dropped": drop.to_json()}, embeds, s,
+                        EdgeSet(e for e in c.edges if e != drop))
 
 
 def suite_three_pairs(ns: Sequence[int] = range(6, 10)) -> Iterator[CaseResult]:
@@ -198,7 +204,7 @@ def suite_three_pairs(ns: Sequence[int] = range(6, 10)) -> Iterator[CaseResult]:
         s = convex_points(n, seed=1)
         mids = spread_middles(n)
         c = three_pairs_consecutive_hull_edges(s, mids)
-        yield _blocking_case("three-pairs", {"n": n, "middles": list(mids)}, c, s)
+        yield _case("three-pairs", {"n": n, "middles": list(mids)}, _blocks, c, s)
 
 
 def suite_blanket() -> Iterator[CaseResult]:
@@ -206,39 +212,30 @@ def suite_blanket() -> Iterator[CaseResult]:
     for n, k in BLANKET_PAIRS:
         s = convex_points(n, seed=1)
         c = r_edge_blanket(s, k)
-        yield _blocking_case("blanket", {"n": n, "k": k}, c, s,
-                             ok=len(c.edges) <= upper_bound_value(n, k),
-                             counters={"edges": len(c.edges),
-                                       "threshold": c.params["threshold"]})
+        yield _case("blanket", {"n": n, "k": k}, _blocks, c, s,
+                    len(c.edges) <= upper_bound_value(n, k),
+                    edges=len(c.edges), threshold=c.params["threshold"])
 
 
 def suite_bounds(seeds: Sequence[int] = range(1, 6)) -> Iterator[CaseResult]:
     """Lower bound never exceeds upper bound; small point sets respect the floor."""
+    def ordered(counters, n):
+        return all(turan_lower_bound(n, k) <= upper_bound_value(n, k)
+                   for k in range(3, n + 1)), ""
+
+    def floor_holds(counters, s, n):
+        for k in range(3, n + 1):
+            floor = math.ceil(turan_lower_bound(n, k))
+            if floor > 1 and (res := min_forbidden_set_size(s, k, floor - 1)) is not None:
+                return False, f"subset of size {res.size} < {floor} forbids k={k}"
+        return True, ""
+
     for n in range(5, BOUNDS_N_MAX + 1):
-        ok = all(turan_lower_bound(n, k) <= upper_bound_value(n, k)
-                 for k in range(3, n + 1))
-        yield CaseResult("bounds", {"n": n}, ok)
+        yield _case("bounds", {"n": n}, ordered, n)
     for n in BRUTE_NS:
         for seed in seeds:
-            s = random_points(n, seed)
-            ok = True
-            unknown = False
-            note = ""
-            for k in range(3, n + 1):
-                floor = math.ceil(turan_lower_bound(n, k))
-                if floor <= 1:
-                    continue
-                try:
-                    res = min_forbidden_set_size(s, k, floor - 1)
-                except SearchBudgetExceeded:
-                    ok, unknown = False, True
-                    break
-                if res is not None:
-                    ok = False
-                    note = f"subset of size {res.size} < {floor} forbids k={k}"
-                    break
-            yield CaseResult("bounds", {"n": n, "seed": seed, "brute": True},
-                             ok, unknown=unknown, note=note)
+            yield _case("bounds", {"n": n, "seed": seed, "brute": True},
+                        floor_holds, random_points(n, seed), n)
 
 
 def suite_bracket(ns: Sequence[int] = (5, 6),
@@ -250,27 +247,22 @@ def suite_bracket(ns: Sequence[int] = (5, 6),
     result on a convex set contradicts the paper's convex minimum of 3: it
     gets the same note and fails the case.
     """
-    if any(n < 5 for n in ns):
-        raise ValueError("the bracket suite needs n >= 5")
+    def check(counters, s, n, seed):
+        res = min_forbidden_set_size(s, n, 3)
+        counters["size"] = res.size if res else 0
+        if res is None or res.size != 2:
+            return res is not None and res.size == 3, ""
+        convex = is_convex_position(s)
+        shape = "convex" if convex else "NON-CONVEX"
+        return not convex, (f"NOTABLE: 2-edge forbidding set on {shape} set "
+                            f"(n={n}, seed={seed}): {[e.to_json() for e in res.edges]} "
+                            f"blocks tree {list(res.tree.edges)}")
+
+    if not all(5 <= n <= MAX_ENUM_VERTICES for n in ns):
+        raise ValueError(f"the bracket suite needs 5 <= n <= {MAX_ENUM_VERTICES}")
     for n in ns:
         for seed in seeds:
-            s = random_points(n, seed)
-            try:
-                res = min_forbidden_set_size(s, n, 3)
-            except SearchBudgetExceeded:
-                yield CaseResult("bracket", {"n": n, "seed": seed}, False, unknown=True)
-                continue
-            ok = res is not None and res.size in (2, 3)
-            note = ""
-            if res is not None and res.size == 2:
-                convex = is_convex_position(s)
-                ok = not convex
-                shape = "convex" if convex else "NON-CONVEX"
-                note = (f"NOTABLE: 2-edge forbidding set on {shape} set "
-                        f"(n={n}, seed={seed}): {[e.to_json() for e in res.edges]} "
-                        f"blocks tree {list(res.tree.edges)}")
-            yield CaseResult("bracket", {"n": n, "seed": seed}, ok, note=note,
-                             counters={"size": res.size if res else 0})
+            yield _case("bracket", {"n": n, "seed": seed}, check, random_points(n, seed), n, seed)
 
 
 SUITES = {

@@ -372,3 +372,31 @@ def test_placements_get_the_cells_their_proofs_promise(monkeypatch):
         for seed in (1, 2, 3):
             sweep(SPIDER_REPAIR, gen(9, seed))
     assert reached == {"_place_star", "_place_path3", "_place_spider", "_spider_from_root"}
+
+
+def test_repair_rounds_stay_within_the_proved_bound(monkeypatch):
+    """At most n - 4 repairs, so n - 3 rounds: the bound in _apply_repair's docstring.
+
+    The sweep also meets a reorder followed by a second repair, so the
+    bound is tested on a chain, not only on single repairs.
+    """
+    import forbidtree.embedding as embedding
+    repairs = []
+    real_repair = embedding._apply_repair
+
+    def repair_spy(*a):
+        repairs.append(a)
+        return real_repair(*a)
+
+    monkeypatch.setattr(embedding, "_apply_repair", repair_spy)
+    most = 0
+    for n in range(5, 9):
+        for t in all_trees(n):
+            for s in (convex_points(n, 1), random_points(n, 1)):
+                for e in all_edges(n):
+                    repairs.clear()
+                    emb = embed_avoiding_single(t, s, e)
+                    assert not emb.uses_edge(e)
+                    assert len(repairs) <= n - 4, (t.edges, e)
+                    most = max(most, len(repairs))
+    assert most == 2

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 
 import pytest
@@ -311,3 +312,68 @@ def test_parser_is_reused_after_an_argparse_error(tmp_path, capsys):
         main(["embed", "--points", str(pts)])
     assert ex.value.code == 2 and "--tree" in capsys.readouterr().err
     assert run(capsys, *argv) == first and first[0] == 0
+
+
+def test_verify_refuses_an_out_of_range_n_before_the_first_case(capsys):
+    # all_trees stops at 10 vertices; the whole range is checked before any output
+    for argv in (("--suite", "few-hull", "--n", "10..11"),
+                 ("--suite", "baseline", "--n", "10..11", "--seeds", "1")):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("input error") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("suite,embedder,argv", [
+    ("baseline", "embed_recursive", ("--n", "5", "--seeds", "1")),
+    ("few-hull", "embed_few_hull_edges", ("--n", "5")),
+])
+def test_verify_defect_in_every_suite_is_a_failed_case(monkeypatch, capsys, suite, embedder,
+                                                        argv):
+    def broken(*args):
+        raise EmbeddingDefectError("broken on purpose")
+
+    monkeypatch.setattr(suites, embedder, broken)
+    code, out, err = run(capsys, "verify", "--suite", suite, *argv)
+    assert code == 1 and "Traceback" not in err
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert lines[0]["ok"] is False
+    assert lines[0]["note"] == "EmbeddingDefectError: broken on purpose"
+    assert lines[-1]["summary"] and lines[-1]["failures"] == len(lines) - 1 >= 1
+
+
+def test_embed_defect_exits_1(tmp_path, monkeypatch, capsys):
+    import forbidtree.cli as cli
+
+    def broken(*args):
+        raise EmbeddingDefectError("broken on purpose")
+
+    pts = tmp_path / "pts.json"
+    forb = tmp_path / "forb.json"
+    run(capsys, "gen", "--n", "7", "--out", str(pts))
+    forb.write_text(json.dumps({"edges": [[0, 1]]}))
+    monkeypatch.setattr(cli, "embed_avoiding_single", broken)
+    code, out, err = run(capsys, "embed", "--tree", "path:7", "--points", str(pts),
+                         "--forbidden", str(forb))
+    assert (code, out, err) == (1, "", "embedding failed: broken on purpose\n")
+
+
+# sha256 of each suite's stdout (case lines and summary) at its defaults
+SUITE_JSON_SHA256 = {
+    "baseline": "b044a20aed36b0e4989b5f3ff345dd000e2372fa21650ec07a323d9fda33dde7",
+    "blanket": "f7afcc242af890f45513ce454892bc6d3f0ca487cd026efe8e375a261b1cc494",
+    "bounds": "1d365c8f12ca0f3d27f18c2142bacdf16626ea6730f228173141662f0ca41de0",
+    "bracket": "245e683b0fc3c41c67081c21ad45c94e9740ff10ebcafd5242f5d942e9268034",
+    "conf3": "4ba3c391099e630c9f8d7244f615dd9e230b4bd5cb365704993b578e2f6400d6",
+    "few-hull": "65eac50686c6d9ab5abfcac1b027ad448c8ac4c5a4767b7dda4acefb09774b7b",
+    "single-edge": "c4ee8129abb92b6c40c5e9aea86921846807e7b75a0dc4d153c1baaf4c0940cb",
+    "three-pairs": "6fee3bb72653eb925040bfbce247b046dc150b383f38b853882516c1c656e29b",
+    "two-edge-convex": "c1dff9a51463ed4da1f5c8c81516df36951a28496e8d5d0e5e42431754851ab0",
+}
+
+
+def test_verify_json_is_pinned_at_the_defaults(capsys):
+    assert set(SUITE_JSON_SHA256) == set(suites.SUITES)
+    for suite, digest in SUITE_JSON_SHA256.items():
+        code, out, err = run(capsys, "verify", "--suite", suite)
+        assert (code, err) == (0, ""), suite
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, suite
