@@ -83,7 +83,7 @@ def cmd_embed(args) -> int:
     forbidden = None
     if args.forbidden:
         forbidden = EdgeSet.from_json(_load_json(args.forbidden))
-        forbidden.validate_for(s)
+        s.check_edges(*forbidden.edges)
     if forbidden is None or len(forbidden) == 0:
         emb = embed_recursive(root_at(t, 0), s)
     elif len(forbidden) == 1:
@@ -178,7 +178,7 @@ def cmd_render(args) -> int:
     forbidden = None
     if args.forbidden:
         forbidden = EdgeSet.from_json(_load_json(args.forbidden))
-        forbidden.validate_for(s)
+        s.check_edges(*forbidden.edges)
     Path(args.svg).write_text(render_svg(s, emb, forbidden))
     return 0
 

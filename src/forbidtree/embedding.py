@@ -90,14 +90,20 @@ class Embedding:
     def point_of(self, v: int) -> int:
         return self.assignment[v]
 
+    @property
+    def segment_pairs(self) -> list[tuple[int, int]]:
+        """Drawn pairs (a, b), a < b, in tree-edge order; uncached to keep witnesses small."""
+        asg = self.assignment
+        return [(asg[u], asg[v]) if asg[u] < asg[v] else (asg[v], asg[u])
+                for u, v in self.tree.edges]
+
     def segment_edges(self) -> list[Edge]:
         """Point-index edges induced by the tree edges."""
-        return [Edge(self.assignment[u], self.assignment[v]) for u, v in self.tree.edges]
+        return [Edge(a, b) for a, b in self.segment_pairs]
 
     @cached_property
     def _crossings(self) -> int:
-        asg, xy = self.assignment, self.points.xy
-        segs = [(asg[u], asg[v]) for u, v in self.tree.edges]
+        xy, segs = self.points.xy, self.segment_pairs
         count = 0
         for i, (a, b) in enumerate(segs):
             for c, d in segs[i + 1:]:
@@ -111,21 +117,20 @@ class Embedding:
 
     def hull_edges_used(self) -> int:
         """Segments that are hull edges (edge depth 0, in general position)."""
-        segs = self.segment_edges()
+        segs = self.segment_pairs
         if len(self.points) < 3:
             return len(segs)
-        hull = hull_edges(self.points)
-        return sum(1 for e in segs if e in hull)
+        return len(hull_edges(self.points).intersection(segs))
 
     @cached_property
-    def _used_edges(self) -> frozenset[Edge]:
-        return frozenset(self.segment_edges())
+    def _used_pairs(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.segment_pairs)
 
     def uses_edge(self, e: Edge) -> bool:
-        return e in self._used_edges
+        return (e.a, e.b) in self._used_pairs
 
     def avoids(self, forbidden: EdgeSet | Sequence[Edge]) -> bool:
-        return self._used_edges.isdisjoint(forbidden)
+        return not any((e.a, e.b) in self._used_pairs for e in forbidden)
 
     def validate(self) -> None:
         crossings = self._crossings
@@ -163,14 +168,14 @@ class RepairPlan:
     counter-clockwise order around its parent (the clockwise extreme), whose
     edge to the parent is not in avoid_edges, if the visible hull offers one:
     child_order: per-vertex child order, which fixes the order of the blocks.
-    avoid_edges: edges not to draw a child on; the hull edges for few-hull,
-      the forbidden edge for every re-run of the single-edge repair.
+    avoid_edges: sorted point pairs not to draw a child on; the hull edges for
+      few-hull, the forbidden edge for every re-run of the single-edge repair.
     placements: whole-subtree placements keyed by subtree root.
     root_anchor: the point of the center when the tree root is a SPIDER.
     """
 
     child_order: list[list[int]]
-    avoid_edges: frozenset[Edge] = frozenset()
+    avoid_edges: frozenset[tuple[int, int]] = frozenset()
     placements: dict[int, Placement] = field(default_factory=dict)
     root_anchor: int | None = None
 
@@ -238,8 +243,8 @@ class _Engine:
         An explicit stack of per-vertex block iterators replaces recursion,
         so a tree as deep as a long path needs no deep Python call stack.
         """
-        # avoid_edges as ordered point pairs, so a candidate costs no Edge
-        off = {pair for e in self.plan.avoid_edges for pair in ((e.a, e.b), (e.b, e.a))}
+        # both orders of each avoided pair, so a candidate costs one lookup
+        off = {pair for a, b in self.plan.avoid_edges for pair in ((a, b), (b, a))}
         stack = [(v_pt, self._blocks(v, v_pt, cell))]
         while stack:
             v_pt, blocks = stack[-1]
@@ -437,12 +442,9 @@ def embed_recursive(
 
 def _find_edge_use(rt: RootedTree, asg: Sequence[int], e: Edge) -> tuple[int, int] | None:
     """Tree edge (parent, child) currently drawn on e, if any."""
-    target = {e.a, e.b}
     for u, v in rt.tree.edges:
-        if {asg[u], asg[v]} == target:
-            if rt.parent[v] == u:
-                return u, v
-            return v, u
+        if {asg[u], asg[v]} == {e.a, e.b}:
+            return (u, v) if rt.parent[v] == u else (v, u)
     return None
 
 
@@ -477,14 +479,13 @@ def embed_avoiding_single(t: Tree, s: PointSet, e: Edge) -> Embedding:
         raise ValueError("tree and point set sizes differ")
     if n < 5:
         raise ValueError("single-edge avoidance is supported for n >= 5")
-    if e.b >= n:
-        raise IndexError(f"edge {e} out of range for {n} points")
+    s.check_edges(e)
     rt, base = _single_base(t, s)
     if not base.uses_edge(e):
         base.validate()
         return base
     plan = _default_plan(rt)
-    plan.avoid_edges = frozenset({e})
+    plan.avoid_edges = frozenset({(e.a, e.b)})
     asg = base.assignment
     for i in range(n):
         if i:
@@ -682,14 +683,8 @@ def _rotated(emb: Embedding, hull: list[int], i: int) -> Embedding:
     return Embedding(emb.tree, emb.points, asg)
 
 
-@lru_cache(maxsize=1)
-def _few_hull_base(t: Tree, s: PointSet) -> Embedding:
-    """embed_few_hull_edges(t, s), kept for the next call on the same pair.
-
-    The base depends on neither forbidden edge, so a sweep over forbidden
-    pairs on one tree and set builds it once.
-    """
-    return embed_few_hull_edges(t, s)
+# The base depends on neither forbidden edge, so a sweep over pairs builds it once.
+_few_hull_base = lru_cache(maxsize=1)(embed_few_hull_edges)
 
 
 def embed_convex_avoiding_two(t: Tree, s: PointSet, f1: Edge, f2: Edge) -> Embedding:
@@ -704,9 +699,7 @@ def embed_convex_avoiding_two(t: Tree, s: PointSet, f1: Edge, f2: Edge) -> Embed
         raise ValueError("tree and point set sizes differ")
     if n < 5:
         raise ValueError("two-edge avoidance is supported for n >= 5")
-    for e in (f1, f2):
-        if e.b >= n:
-            raise IndexError(f"edge {e} out of range for {n} points")
+    s.check_edges(f1, f2)
     base = _few_hull_base(t, s)
     hull = convex_hull(s)
     for i in range(n):

@@ -83,6 +83,13 @@ def orient(p: Point, q: Point, r: Point) -> int:
     return 0
 
 
+def _point(p: Point | tuple[int, int]) -> Point:
+    """p as a Point, which checks its coordinates; ValueError if p is not an (x, y) pair."""
+    if not isinstance(p, Point) and len(p) != 2:
+        raise ValueError(f"a point is an (x, y) pair, got {p!r}")
+    return p if isinstance(p, Point) else Point(*p)
+
+
 @dataclass(frozen=True)
 class Edge:
     """Unordered pair of point indices, stored with a < b."""
@@ -91,6 +98,8 @@ class Edge:
     b: int
 
     def __post_init__(self):
+        if type(self.a) is not int or type(self.b) is not int:
+            raise TypeError(f"edge endpoints must be integers, got ({self.a!r}, {self.b!r})")
         if self.a == self.b:
             raise ValueError("edge endpoints must differ")
         if self.a < 0 or self.b < 0:
@@ -139,12 +148,6 @@ class EdgeSet:
     def __repr__(self):
         return f"EdgeSet({sorted((e.a, e.b) for e in self._edges)})"
 
-    def validate_for(self, s: "PointSet") -> None:
-        n = len(s)
-        for e in self._edges:
-            if e.b >= n:
-                raise IndexError(f"edge {e} out of range for {n} points")
-
     def to_json(self) -> dict:
         return {"edges": [e.to_json() for e in self]}
 
@@ -160,13 +163,13 @@ class PointSet:
     eagerly at construction; violations raise GeneralPositionError rather
     than degrading later predicates. The check is O(n^2): i < j < k are
     collinear iff j and k have the same ``_direction`` from i.
-    ``xy`` holds the coordinates as a tuple of (x, y) int pairs, the form
-    every predicate reads.
+    ``xy``, a tuple of (x, y) int pairs, is the only stored form of the
+    points; ``s[i]`` and iteration build Points. An edge mask has bit
+    ``a * n + b`` per sorted pair (a, b); only this class spells that format.
     """
 
     def __init__(self, points: Iterable[Point | tuple[int, int]]):
-        pts = tuple(p if isinstance(p, Point) else Point(p[0], p[1]) for p in points)
-        xy = tuple((p.x, p.y) for p in pts)
+        xy = tuple((p.x, p.y) for p in map(_point, points))
         if len(set(xy)) != len(xy):
             raise GeneralPositionError("coincident points")
         for i, (px, py) in enumerate(xy):
@@ -176,29 +179,28 @@ class PointSet:
                 k = dirs.index(dirs[j], j + 1)
                 raise GeneralPositionError(
                     f"collinear triple at indices {i},{i + j + 1},{i + k + 1}")
-        self._points = pts
         self.xy = xy
         self._hull: tuple[int, ...] | None = None
         self._crossing_masks: list[int] | None = None
         self._candidate_rows: tuple[tuple[tuple[int, int, int], ...], ...] | None = None
 
     def __len__(self):
-        return len(self._points)
+        return len(self.xy)
 
     def __getitem__(self, i: int) -> Point:
-        return self._points[i]
+        return Point(*self.xy[i])
 
     def __iter__(self):
-        return iter(self._points)
+        return (Point(x, y) for x, y in self.xy)
 
     def __eq__(self, other):
-        return isinstance(other, PointSet) and self._points == other._points
+        return isinstance(other, PointSet) and self.xy == other.xy
 
     def __hash__(self):
-        return hash(self._points)
+        return hash(self.xy)
 
     def __repr__(self):
-        return f"PointSet({[(p.x, p.y) for p in self._points]})"
+        return f"PointSet({list(self.xy)})"
 
     def orient_idx(self, i: int, j: int, k: int) -> int:
         (px, py), (qx, qy), (rx, ry) = self.xy[i], self.xy[j], self.xy[k]
@@ -207,10 +209,26 @@ class PointSet:
 
     def subset(self, indices: Sequence[int]) -> "PointSet":
         """Sub point set over the given indices, in ascending index order."""
-        return PointSet(self._points[i] for i in sorted(indices))
+        return PointSet(self.xy[i] for i in sorted(indices))
+
+    def check_edges(self, *edges: Edge) -> None:
+        """IndexError naming the first edge with an endpoint outside this set."""
+        for e in edges:
+            if e.b >= len(self):
+                raise IndexError(f"edge {e} out of range for {len(self)} points")
 
     def edge_id(self, e: Edge) -> int:
         return e.a * len(self) + e.b
+
+    def edge_mask(self, pairs: Iterable[tuple[int, int]]) -> int:
+        """The edge mask of distinct sorted point pairs (a, b), a < b: bit ``a * n + b`` each."""
+        n = len(self)
+        return sum(1 << (a * n + b) for a, b in pairs)
+
+    def edge_pairs(self, mask: int) -> list[tuple[int, int]]:
+        """The sorted point pairs of an edge mask, in ascending bit order; undoes ``edge_mask``."""
+        n = len(self)
+        return [divmod(i, n) for i in range(mask.bit_length()) if mask >> i & 1]
 
     def crossing_sets(self) -> list[int]:
         """For each ordered pair (u, v), the edges that edge uv properly crosses.
@@ -256,7 +274,7 @@ class PointSet:
         return self._candidate_rows
 
     def to_json(self) -> dict:
-        return {"points": [[p.x, p.y] for p in self._points]}
+        return {"points": [list(p) for p in self.xy]}
 
     @classmethod
     def from_json(cls, data: dict) -> "PointSet":
@@ -291,10 +309,7 @@ def segments_cross(s: PointSet, e1: Edge, e2: Edge) -> bool:
     a, b, c, d = e1.a, e1.b, e2.a, e2.b
     if a == c or a == d or b == c or b == d:
         return False
-    n = len(s)
-    for e in (e1, e2):
-        if e.b >= n:
-            raise IndexError(f"edge {e} out of range for {n} points")
+    s.check_edges(e1, e2)
     return crosses(s.xy, a, b, c, d)
 
 
@@ -315,10 +330,10 @@ def convex_hull(s: PointSet) -> list[int]:
     return list(s._hull)
 
 
-def hull_edges(s: PointSet) -> frozenset[Edge]:
-    """Edges between consecutive vertices of convex_hull(s): the depth-0 edges."""
+def hull_edges(s: PointSet) -> frozenset[tuple[int, int]]:
+    """Sorted point pairs of consecutive vertices of convex_hull(s): the depth-0 edges."""
     hull = convex_hull(s)
-    return frozenset(Edge(hull[i - 1], hull[i]) for i in range(len(hull)))
+    return frozenset((min(p, q), max(p, q)) for p, q in zip(hull, hull[1:] + hull[:1]))
 
 
 def _left_chain(xy: Sequence[tuple[int, int]], seq: Iterable[int]) -> list[int]:
@@ -407,8 +422,7 @@ def edge_depth(s: PointSet, e: Edge) -> int:
     exactly the edges of depth 0.
     """
     n = len(s)
-    if e.b >= n:
-        raise IndexError(f"edge {e} out of range for {n} points")
+    s.check_edges(e)
     left = sum(s.orient_idx(e.a, e.b, i) > 0 for i in range(n) if i != e.a and i != e.b)
     return min(left, n - 2 - left)
 

@@ -150,11 +150,6 @@ def _search(
     return found, asg, nodes, crossing_prunes, forbidden_prunes
 
 
-def _edge_pairs(mask: int, n: int) -> list[tuple[int, int]]:
-    """The point pairs (a, b), a < b, of the edge ids ``a * n + b`` set in the mask."""
-    return [divmod(i, n) for i in range(mask.bit_length()) if mask >> i & 1]
-
-
 def _witness(t: Tree, s: PointSet, asg: list[int], forb_mask: int) -> Embedding:
     """The search's assignment as an Embedding, checked independently of the search.
 
@@ -164,8 +159,7 @@ def _witness(t: Tree, s: PointSet, asg: list[int], forb_mask: int) -> Embedding:
     """
     witness = Embedding(t, s, tuple(asg))
     witness.validate()
-    drawn = {(min(asg[u], asg[v]), max(asg[u], asg[v])) for u, v in t.edges}
-    if not drawn.isdisjoint(_edge_pairs(forb_mask, len(s))):
+    if not set(witness.segment_pairs).isdisjoint(s.edge_pairs(forb_mask)):
         raise AssertionError("oracle witness uses a forbidden edge")
     return witness
 
@@ -189,10 +183,8 @@ def exists_embedding(
     if budget <= 0:
         raise ValueError("budget must be positive")
     forbidden = forbidden or EdgeSet()
-    forbidden.validate_for(s)
-    forb_mask = 0
-    for e in forbidden:
-        forb_mask |= 1 << s.edge_id(e)
+    s.check_edges(*forbidden.edges)
+    forb_mask = s.edge_mask((e.a, e.b) for e in forbidden.edges)
     start = time.perf_counter()
     found, asg, nodes, crossing_prunes, forbidden_prunes = _search(t, s, forb_mask, budget)
     witness = _witness(t, s, asg, forb_mask) if found else None
@@ -256,8 +248,7 @@ def min_forbidden_set_size(
                 raise SearchBudgetExceeded(f"verdict unknown after {nodes} nodes")
             if not found:
                 return f
-            _witness(t, s, asg, f)
-            w = sum(1 << (min(asg[u], asg[v]) * n + max(asg[u], asg[v])) for u, v in t.edges)
+            w = s.edge_mask(_witness(t, s, asg, f).segment_pairs)
             pool.append(w)
         while depth and w:
             found = grow(t, pool, f | (w & -w), depth - 1)
@@ -272,5 +263,5 @@ def min_forbidden_set_size(
         for t, pool in zip(trees, pools):
             found = grow(t, pool, 0, m)
             if found is not None:
-                return MinForbidResult(m, EdgeSet(Edge(a, b) for a, b in _edge_pairs(found, n)), t)
+                return MinForbidResult(m, EdgeSet(Edge(a, b) for a, b in s.edge_pairs(found)), t)
     return None

@@ -13,8 +13,7 @@ MARGIN = 60
 
 
 def _scaler(s: PointSet):
-    xs = [p.x for p in s]
-    ys = [p.y for p in s]
+    xs, ys = zip(*s.xy)
     lo_x, hi_x = min(xs), max(xs)
     lo_y, hi_y = min(ys), max(ys)
     span = max(hi_x - lo_x, hi_y - lo_y, 1)
@@ -54,9 +53,9 @@ def render_svg(
                 f'stroke="#cc3333" stroke-width="2" stroke-dasharray="8 6"/>'
             )
     if embedding is not None:
-        for e in embedding.segment_edges():
-            x1, y1 = at(s[e.a])
-            x2, y2 = at(s[e.b])
+        for a, b in embedding.segment_pairs:
+            x1, y1 = at(s[a])
+            x2, y2 = at(s[b])
             parts.append(
                 f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
                 f'stroke="#222222" stroke-width="2"/>'

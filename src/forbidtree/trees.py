@@ -25,6 +25,8 @@ class Tree:
         adjacency: list[list[int]] = [[] for _ in range(k)]
         seen = set()
         for u, v in edges:
+            if type(u) is not int or type(v) is not int:
+                raise TypeError(f"tree edge endpoints must be integers, got ({u!r}, {v!r})")
             if u == v:
                 raise ValueError("self-loop")
             if not (0 <= u < k and 0 <= v < k):

@@ -13,6 +13,7 @@ from forbidtree.embedding import (
     _single_base,
     embed_avoiding_single,
     embed_convex_avoiding_two,
+    embed_few_hull_edges,
 )
 from forbidtree.generators import convex_points, random_points
 from forbidtree.geometry import Edge, EdgeSet, convex_hull
@@ -98,6 +99,23 @@ def test_avoiding_single_preconditions():
                               random_points(4, seed=1), Edge(0, 1))
     with pytest.raises(IndexError):
         embed_avoiding_single(t, random_points(5, seed=1), Edge(0, 9))
+
+
+def test_few_hull_and_two_edge_preconditions():
+    t5, t6 = all_trees(5)[0], all_trees(6)[0]
+    s5, s6 = convex_points(5, seed=1), convex_points(6, seed=1)
+    t4, s4 = Tree(4, [(0, 1), (1, 2), (2, 3)]), convex_points(4, seed=1)
+    with pytest.raises(ValueError, match="sizes differ"):
+        embed_few_hull_edges(t5, s6)
+    with pytest.raises(ValueError, match="n >= 5"):
+        embed_few_hull_edges(t4, s4)
+    with pytest.raises(ValueError, match="sizes differ"):
+        embed_convex_avoiding_two(t5, s6, Edge(0, 1), Edge(2, 3))
+    with pytest.raises(ValueError, match="n >= 5"):
+        embed_convex_avoiding_two(t4, s4, Edge(0, 1), Edge(2, 3))
+    with pytest.raises(IndexError, match=r"Edge\(a=2, b=6\) out of range for 6 points"):
+        embed_convex_avoiding_two(t6, s6, Edge(0, 1), Edge(2, 6))
+    embed_convex_avoiding_two(t5, s5, Edge(0, 1), Edge(2, 3))
 
 
 def test_two_edges_same_edge_degenerates_to_single():

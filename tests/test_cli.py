@@ -205,6 +205,28 @@ def test_search_min_budget_run_out_exits_3(tmp_path, capsys):
     assert "budget exhausted" in err and "Traceback" not in err
 
 
+def test_search_min_without_a_set_within_the_cap(tmp_path, capsys):
+    pts = tmp_path / "pts.json"
+    run(capsys, "gen", "--n", "7", "--out", str(pts))
+    code, out, err = run(capsys, "search-min", "--points", str(pts), "--k", "5", "--cap", "2")
+    assert (code, out, err) == (0, '{"cap": 2, "k": 5, "size": null}\n', "")
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("embed --tree cycle:7 --points pts.json", "unknown tree shorthand 'cycle:7'"),
+    ("render --points pts.json --tree spider:7 --embedding emb.json --svg out.svg",
+     "assignment maps outside the point set"),
+])
+def test_unknown_shorthand_and_outside_assignment_are_input_errors(
+        tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "gen", "--n", "7", "--out", "pts.json")
+    (tmp_path / "emb.json").write_text(json.dumps({"assignment": [0, 1, 2, 3, 4, 5, 9]}))
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+    assert not (tmp_path / "out.svg").exists()
+
+
 def test_render_round_trip(tmp_path, capsys):
     pts = tmp_path / "pts.json"
     emb = tmp_path / "emb.json"

@@ -72,6 +72,42 @@ def test_pointset_takes_int_coordinates_only():
     assert PointSet([(0, 0), (5, 1), (2, 7)])[2] == Point(2, 7)
 
 
+def test_edges_and_point_sets_reject_input_they_would_mangle():
+    # True and 0.0 compare equal to ints, so they would pass as indices
+    for a in (True, 0.0):
+        with pytest.raises(TypeError):
+            Edge(a, 3)
+    # a third coordinate would be dropped, a missing one misread
+    with pytest.raises(ValueError, match="pair"):
+        PointSet([(0, 0, 5), (10, 1, 7), (3, 9, 9)])
+    with pytest.raises(ValueError, match="pair"):
+        PointSet([(0, 0), (10, 1), (3,)])
+
+
+def test_point_set_stores_only_xy():
+    s = PointSet([Point(0, 0), (5, 1), (2, 7)])
+    assert s.xy == ((0, 0), (5, 1), (2, 7))
+    assert s[1] == Point(5, 1) and list(s) == [Point(0, 0), Point(5, 1), Point(2, 7)]
+    assert s == PointSet(s) and hash(s) == hash(PointSet(list(s.xy)))
+    assert repr(s) == "PointSet([(0, 0), (5, 1), (2, 7)])"
+
+
+def test_edge_mask_and_edge_pairs_invert_each_other():
+    s = random_points(7, seed=1)
+    pairs = [(0, 1), (0, 6), (2, 5), (5, 6)]
+    mask = s.edge_mask(pairs)
+    assert mask == sum(1 << s.edge_id(Edge(a, b)) for a, b in pairs)
+    assert s.edge_pairs(mask) == pairs
+    assert s.edge_mask([]) == 0 and s.edge_pairs(0) == []
+
+
+def test_check_edges_names_the_first_edge_out_of_range():
+    s = random_points(7, seed=1)
+    s.check_edges(Edge(0, 6), Edge(5, 6))
+    with pytest.raises(IndexError, match=r"edge Edge\(a=1, b=8\) out of range for 7 points"):
+        s.check_edges(Edge(0, 1), Edge(1, 8), Edge(0, 9))
+
+
 def test_pointset_rejects_degenerate():
     with pytest.raises(GeneralPositionError):
         PointSet([(0, 0), (1, 1), (2, 2)])

@@ -41,6 +41,14 @@ def test_tree_validation():
         Tree(4, [(0, 1), (1, 2), (0, 2)])
 
 
+def test_tree_rejects_non_int_endpoints():
+    # True == 1, so this would pass as a path and serialise as [[0, true], [true, 2]]
+    with pytest.raises(TypeError):
+        Tree(3, [(0, True), (True, 2)])
+    with pytest.raises(TypeError):
+        Tree(3, [(0, 1.0), (1, 2)])
+
+
 def test_spider_small():
     assert spider_tree(2).edges == ((0, 1),)
     t3 = spider_tree(3)
