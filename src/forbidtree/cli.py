@@ -95,9 +95,9 @@ def cmd_embed(args) -> int:
     else:
         raise ValueError("no constructive procedure for 3+ forbidden edges; "
                          "use search-min or the oracle")
-    _emit(emb.to_json(forbidden), args.out)
-    if args.svg:
+    if args.svg:  # first, so that a bad path exits 2 with nothing on stdout
         Path(args.svg).write_text(render_svg(s, emb, forbidden))
+    _emit(emb.to_json(forbidden), args.out)
     return 0
 
 

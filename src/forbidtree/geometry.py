@@ -165,7 +165,8 @@ class PointSet:
     collinear iff j and k have the same ``_direction`` from i.
     ``xy``, a tuple of (x, y) int pairs, is the only stored form of the
     points; ``s[i]`` and iteration build Points. An edge mask has bit
-    ``a * n + b`` per sorted pair (a, b); only this class spells that format.
+    ``a * n + b`` per sorted pair (a, b), and its two-way form
+    (``two_way_mask``) bit ``b * n + a`` too; only this class spells that format.
     """
 
     def __init__(self, points: Iterable[Point | tuple[int, int]]):
@@ -182,7 +183,7 @@ class PointSet:
         self.xy = xy
         self._hull: tuple[int, ...] | None = None
         self._crossing_masks: list[int] | None = None
-        self._candidate_rows: tuple[tuple[tuple[int, int, int], ...], ...] | None = None
+        self._candidate_rows: tuple[tuple[tuple[int, int, int, int], ...], ...] | None = None
 
     def __len__(self):
         return len(self.xy)
@@ -228,7 +229,21 @@ class PointSet:
     def edge_pairs(self, mask: int) -> list[tuple[int, int]]:
         """The sorted point pairs of an edge mask, in ascending bit order; undoes ``edge_mask``."""
         n = len(self)
-        return [divmod(i, n) for i in range(mask.bit_length()) if mask >> i & 1]
+        pairs = []
+        while mask:
+            low = mask & -mask
+            pairs.append(divmod(low.bit_length() - 1, n))
+            mask ^= low
+        return pairs
+
+    def two_way_mask(self, mask: int) -> int:
+        """An edge mask with bit ``b * n + a`` beside each bit ``a * n + b``.
+
+        In the two-way mask, bit r of ``mask >> p * n`` (taken to n bits)
+        is set iff the edge between p and r is in the mask.
+        """
+        n = len(self)
+        return mask | sum(1 << (b * n + a) for a, b in self.edge_pairs(mask))
 
     def crossing_sets(self) -> list[int]:
         """For each ordered pair (u, v), the edges that edge uv properly crosses.
@@ -256,19 +271,21 @@ class PointSet:
             self._crossing_masks = masks
         return self._crossing_masks
 
-    def candidate_rows(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-        """For each point p, a ``(q, edge bit, crossing mask)`` triple per point q != p.
+    def candidate_rows(self) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
+        """For each point p, a ``(q, point bit, edge bit, crossing mask)`` entry per point q != p.
 
-        The triples run in ascending q. The edge bit is ``1 << edge_id`` of
-        pq, and the crossing mask is row ``p * n + q`` of ``crossing_sets()``,
+        The entries run in ascending q. The point bit is ``1 << q``, the
+        edge bit is ``1 << edge_id`` of pq, and the crossing mask is row
+        ``p * n + q`` of ``crossing_sets()`` made two-way (``two_way_mask``),
         so the search oracle tries every edge out of a placed point by
-        walking one row. Built lazily from the crossing table, once per
-        point set.
+        walking one row and reads the edges at a point off a shifted mask.
+        Built lazily from the crossing table, once per point set.
         """
         if self._candidate_rows is None:
             n, cross = len(self), self.crossing_sets()
+            two_way = [self.two_way_mask(m) for m in cross]
             self._candidate_rows = tuple(
-                tuple((q, 1 << (min(p, q) * n + max(p, q)), cross[p * n + q])
+                tuple((q, 1 << q, 1 << (min(p, q) * n + max(p, q)), two_way[p * n + q])
                       for q in range(n) if q != p)
                 for p in range(n))
         return self._candidate_rows

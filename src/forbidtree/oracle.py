@@ -51,13 +51,17 @@ class SearchReport:
 
 
 @lru_cache(maxsize=1024)
-def _search_rooting(t: Tree) -> tuple[RootedTree, tuple[int, ...]]:
-    """The tree rooted for the search, and each vertex's twin; cached per tree.
+def _search_rooting(
+    t: Tree,
+) -> tuple[RootedTree, tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]:
+    """The tree rooted for the search, each vertex's twin and the pending table; cached per tree.
 
     The root is the lowest-index vertex of maximum degree, since early
     placements constrain the most edges. The twin of v is its nearest
     earlier sibling whose rooted subtree has the same AHU code, or -1.
-    Equal trees share one entry.
+    Entry i of the pending table holds a ``(u, c)`` pair for each vertex u
+    among ``order[:i + 1]`` that has c > 0 children outside it, the latest
+    placed first. Equal trees share one entry.
     """
     rt = root_at(t, min(range(t.k), key=lambda v: (-t.degree(v), v)))
     code = _ahu_codes(t, rt.order, rt.parent)
@@ -65,89 +69,121 @@ def _search_rooting(t: Tree) -> tuple[RootedTree, tuple[int, ...]]:
     for kids in rt.children:
         for i, v in enumerate(kids):
             twin[v] = next((u for u in reversed(kids[:i]) if code[u] == code[v]), -1)
-    return rt, tuple(twin)
+    waiting = [len(kids) for kids in rt.children]
+    pending = []
+    for i, v in enumerate(rt.order):
+        if i:
+            waiting[rt.parent[v]] -= 1
+        pending.append(tuple((u, waiting[u]) for u in reversed(rt.order[:i + 1]) if waiting[u]))
+    return rt, tuple(twin), tuple(pending)
 
 
 def _search(
     t: Tree, s: PointSet, forb_mask: int, budget: int,
-) -> tuple[bool | None, list[int], int, int, int]:
-    """The search core: (verdict, assignment, nodes, crossing prunes, forbidden prunes).
+) -> tuple[bool | None, list[int], int, dict[str, int]]:
+    """The search core: (verdict, assignment, nodes, prunes by kind).
 
     DFS over injective vertex-to-point assignments in ``root_at(t, v).order``,
     where v is the lowest-index vertex of maximum degree; the rooting is
     computed once per tree and cached. Each newly placed vertex adds exactly
-    one drawn edge, to its parent; branches are pruned the moment that edge
-    is forbidden or crosses an earlier one. The drawn and the forbidden
-    edges (``forb_mask``) are int masks of edge ids, and the candidates at
-    each level are the parent point's row of ``s.candidate_rows()``: each
-    entry carries the point, the edge's bit and its crossing mask, so a
-    candidate edge costs two ``&`` tests. Points are tried in ascending
-    order. A vertex with a twin (see ``_search_rooting``) tries only points
-    above its twin's: swapping two isomorphic sibling subtrees redraws the
-    same segments, so the lexicographically first drawing, the one found
-    first, obeys that rule, and the verdict and assignment are those of the
-    unrestricted search. A node is a candidate tried; the points a twin
-    skips are not counted. Exhaustive within the budget; the verdict is
-    None when the budget runs out. The assignment is unchecked: see
+    one drawn edge, to its parent. The search carries two int masks: the
+    free points, and the dead edges, a two-way edge mask (see
+    ``PointSet.two_way_mask``) of the forbidden edges (``forb_mask``) and
+    every edge that crosses a drawn one. The candidates at each level are
+    the parent point's row of ``s.candidate_rows()``: each entry carries
+    the point, its bit, the edge's bit and its two-way crossing mask, so a
+    candidate edge costs one ``&`` test and is pruned, as forbidden or as
+    crossing, the moment it is dead.
+
+    Lookahead (forward checking; Haralick and Elliott, Artificial
+    Intelligence 14, 1980): with the candidate drawn, every placed vertex
+    u with c unplaced children (the pending table of ``_search_rooting``)
+    needs c free points r with edge (u's point, r) not dead, and the
+    branch is cut when one has fewer. Along a branch the dead edges only
+    grow and the free points only shrink, so a cut branch holds no
+    embedding: the verdict and the first assignment found are those of
+    the search without the rule.
+
+    Points are tried in ascending order. A vertex with a twin (see
+    ``_search_rooting``) tries only points above its twin's: swapping two
+    isomorphic sibling subtrees redraws the same segments, so the
+    lexicographically first drawing, the one found first, obeys that rule,
+    and the verdict and assignment are those of the unrestricted search.
+    A node is a candidate tried, counted before it is tested; the points a
+    twin skips are not counted. Exhaustive within the budget; the verdict
+    is None when the budget runs out. The assignment is unchecked: see
     ``_witness``.
     """
     k, n = t.k, len(s)
-    rt, twin = _search_rooting(t)
+    rt, twin, pending = _search_rooting(t)
     order, parent_of = rt.order, rt.parent
 
     rows = s.candidate_rows()
     asg = [-1] * k
-    used = [False] * n
-    nodes = crossing_prunes = forbidden_prunes = 0
+    nodes = crossing_prunes = forbidden_prunes = lookahead_prunes = 0
     last = k - 1
 
-    def dfs(i: int, placed: int) -> bool:
-        """Place order[i] (i >= 1) next to its placed parent; placed = drawn edge bits."""
-        nonlocal nodes, crossing_prunes, forbidden_prunes
+    def dfs(i: int, dead: int, free: int) -> bool:
+        """Place order[i] (i >= 1) next to its placed parent."""
+        nonlocal nodes, crossing_prunes, forbidden_prunes, lookahead_prunes
         v = order[i]
         p = asg[parent_of[v]]
         row = rows[p]
         if twin[v] >= 0:  # rows run in ascending point and skip p itself
             lo = asg[twin[v]]
             row = row[lo + 1 - (lo > p):]
-        for pt, bit, crossed in row:
-            if used[pt]:
+        waiting = pending[i]
+        for pt, pt_bit, bit, crossed in row:
+            if not free & pt_bit:
                 continue
             nodes += 1
             if nodes > budget:
                 raise SearchBudgetExceeded
-            if forb_mask & bit:
-                forbidden_prunes += 1
+            if dead & bit:
+                if forb_mask & bit:
+                    forbidden_prunes += 1
+                else:
+                    crossing_prunes += 1
                 continue
-            if crossed & placed:
-                crossing_prunes += 1
-                continue
-            used[pt] = True
             asg[v] = pt
-            if i == last or dfs(i + 1, placed | bit):
+            if i == last:
                 return True
-            used[pt] = False
+            d, f = dead | crossed, free ^ pt_bit
+            for u, c in waiting:
+                if (f & ~(d >> asg[u] * n)).bit_count() < c:
+                    lookahead_prunes += 1
+                    break
+            else:
+                if dfs(i + 1, d, f):
+                    return True
         return False
 
     def search() -> bool:
-        nonlocal nodes
+        nonlocal nodes, lookahead_prunes
         root = order[0]
+        fan = len(rt.children[root])
+        dead, every = s.two_way_mask(forb_mask), (1 << n) - 1
         for pt in range(n):
             nodes += 1
             if nodes > budget:
                 raise SearchBudgetExceeded
-            used[pt] = True
             asg[root] = pt
-            if k == 1 or dfs(1, 0):
+            if k == 1:
                 return True
-            used[pt] = False
+            free = every ^ 1 << pt
+            if (free & ~(dead >> pt * n)).bit_count() < fan:
+                lookahead_prunes += 1
+            elif dfs(1, dead, free):
+                return True
         return False
 
     try:
         found = search()
     except SearchBudgetExceeded:
         found = None
-    return found, asg, nodes, crossing_prunes, forbidden_prunes
+    prunes = {"crossing": crossing_prunes, "forbidden": forbidden_prunes,
+              "lookahead": lookahead_prunes}
+    return found, asg, nodes, prunes
 
 
 def _witness(t: Tree, s: PointSet, asg: list[int], forb_mask: int) -> Embedding:
@@ -186,9 +222,8 @@ def exists_embedding(
     s.check_edges(*forbidden.edges)
     forb_mask = s.edge_mask((e.a, e.b) for e in forbidden.edges)
     start = time.perf_counter()
-    found, asg, nodes, crossing_prunes, forbidden_prunes = _search(t, s, forb_mask, budget)
+    found, asg, nodes, prunes = _search(t, s, forb_mask, budget)
     witness = _witness(t, s, asg, forb_mask) if found else None
-    prunes = {"crossing": crossing_prunes, "forbidden": forbidden_prunes}
     return SearchReport(found, witness, nodes, prunes, time.perf_counter() - start)
 
 
@@ -241,9 +276,11 @@ def min_forbidden_set_size(
 
     def grow(t: Tree, pool: list[int], f: int, depth: int) -> int | None:
         """A forbidding edge mask of f plus at most depth edges, or None."""
-        w = next((w for w in pool if not w & f), None)
-        if w is None:
-            found, asg, nodes, _, _ = _search(t, s, f, budget)
+        for w in pool:
+            if not w & f:
+                break
+        else:
+            found, asg, nodes, _ = _search(t, s, f, budget)
             if found is None:
                 raise SearchBudgetExceeded(f"verdict unknown after {nodes} nodes")
             if not found:

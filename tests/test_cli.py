@@ -57,6 +57,23 @@ def test_embed_basic_and_svg(tmp_path, capsys):
     assert text.startswith("<svg") and text.count("<line") == 6
 
 
+def test_embed_unwritable_svg_prints_no_result(tmp_path, capsys):
+    # the SVG is written before the JSON, so an exit 2 leaves stdout and the
+    # --out file empty
+    pts = tmp_path / "pts.json"
+    out_file = tmp_path / "emb.json"
+    forb = tmp_path / "forb.json"
+    run(capsys, "gen", "--n", "7", "--out", str(pts))
+    forb.write_text(json.dumps({"edges": [[0, 1]]}))
+    svg = str(tmp_path / "missing" / "x.svg")
+    for extra in ((), ("--forbidden", str(forb)), ("--out", str(out_file))):
+        code, out, err = run(capsys, "embed", "--tree", "star:7", "--points", str(pts),
+                             *extra, "--svg", svg)
+        assert (code, out) == (2, ""), extra
+        assert err.startswith("input error: [Errno 2]")
+    assert not out_file.exists()
+
+
 def test_embed_single_forbidden(tmp_path, capsys):
     pts = tmp_path / "pts.json"
     forb = tmp_path / "forb.json"
@@ -277,10 +294,11 @@ def test_verify_rejects_parameters_the_suite_does_not_take(capsys):
 
 
 def test_verify_budget_run_out_is_unknown(monkeypatch, capsys):
-    # 10 nodes per minimum search and 3 per avoidance check leave at least
-    # one search in each suite without a verdict
+    # 5 nodes per minimum search and 3 per avoidance check leave at least
+    # one search in each suite without a verdict (with the oracle's
+    # lookahead, every minimum search of bounds --seeds 1 settles within 8)
     monkeypatch.setattr(suites, "min_forbidden_set_size",
-                        functools.partial(min_forbidden_set_size, budget=10))
+                        functools.partial(min_forbidden_set_size, budget=5))
     monkeypatch.setattr(suites, "exists_embedding",
                         functools.partial(exists_embedding, budget=3))
     for argv in (("--suite", "bracket", "--n", "5", "--seeds", "1"),
@@ -385,7 +403,7 @@ SUITE_JSON_SHA256 = {
     "blanket": "f7afcc242af890f45513ce454892bc6d3f0ca487cd026efe8e375a261b1cc494",
     "bounds": "1d365c8f12ca0f3d27f18c2142bacdf16626ea6730f228173141662f0ca41de0",
     "bracket": "245e683b0fc3c41c67081c21ad45c94e9740ff10ebcafd5242f5d942e9268034",
-    "conf3": "4ba3c391099e630c9f8d7244f615dd9e230b4bd5cb365704993b578e2f6400d6",
+    "conf3": "c1fb7674edbf0e6505ce2c7c22ae2ce2fbfa3e50b7c52990af7017b90787844b",
     "few-hull": "65eac50686c6d9ab5abfcac1b027ad448c8ac4c5a4767b7dda4acefb09774b7b",
     "single-edge": "c4ee8129abb92b6c40c5e9aea86921846807e7b75a0dc4d153c1baaf4c0940cb",
     "three-pairs": "6fee3bb72653eb925040bfbce247b046dc150b383f38b853882516c1c656e29b",

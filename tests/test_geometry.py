@@ -101,6 +101,30 @@ def test_edge_mask_and_edge_pairs_invert_each_other():
     assert s.edge_mask([]) == 0 and s.edge_pairs(0) == []
 
 
+def test_edge_pairs_walks_set_bits_like_the_bit_scan():
+    # edge_pairs visits only the set bits; the full scan over every bit
+    # position is the reference
+    rng = random.Random(21)
+    for n in (2, 3, 7, 12):
+        s = random_points(n, seed=n)
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        for _ in range(50):
+            mask = s.edge_mask(rng.sample(pairs, rng.randint(0, len(pairs))))
+            assert s.edge_pairs(mask) == [
+                divmod(i, n) for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def test_two_way_mask_reads_the_edges_at_a_point():
+    s = random_points(7, seed=1)
+    pairs = [(0, 1), (0, 6), (2, 5), (5, 6)]
+    mask = s.two_way_mask(s.edge_mask(pairs))
+    assert mask & s.edge_mask(pairs) == s.edge_mask(pairs)
+    for p in range(7):
+        at_p = {r for r in range(7) if mask >> (p * 7) >> r & 1}
+        assert at_p == {b if a == p else a for a, b in pairs if p in (a, b)}
+    assert s.two_way_mask(0) == 0
+
+
 def test_check_edges_names_the_first_edge_out_of_range():
     s = random_points(7, seed=1)
     s.check_edges(Edge(0, 6), Edge(5, 6))

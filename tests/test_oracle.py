@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from oracle_reference import reference_search
 
 from forbidtree import oracle
 from forbidtree.embedding import Embedding, EmbeddingDefectError
@@ -112,7 +113,7 @@ def test_verdict_independent_of_vertex_order(monkeypatch):
 def test_twin_table_chains_the_spiders_legs():
     # the centre's children are 1 (the three-edge leg) and 4, 6, 8 (the
     # two-edge legs): 6's twin is 4 and 8's is 6; no other vertex has one
-    rt, twin = oracle._search_rooting(spider_tree(10))
+    rt, twin, _ = oracle._search_rooting(spider_tree(10))
     assert rt.root == 0 and rt.children[0] == (1, 4, 6, 8)
     assert twin == (-1, -1, -1, -1, -1, -1, 4, -1, 6, -1)
 
@@ -124,14 +125,57 @@ NESTED_TWINS = Tree(8, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (3, 6), (3, 7)])
 def test_twin_table_nests():
     # 3's twin is 1, past the leaf 2 between them, and each pair of leaves
     # is twinned too
-    rt, twin = oracle._search_rooting(NESTED_TWINS)
+    rt, twin, _ = oracle._search_rooting(NESTED_TWINS)
     assert rt.root == 0 and rt.children[0] == (1, 2, 3)
     assert twin == (-1, -1, -1, 1, -1, 4, -1, 6)
     # a path 1-2-3 and a cherry on 4 have the same size but are not twins
-    rt, twin = oracle._search_rooting(
+    rt, twin, _ = oracle._search_rooting(
         Tree(8, [(0, 1), (0, 4), (0, 7), (1, 2), (2, 3), (4, 5), (4, 6)]))
     assert rt.root == 0 and rt.children[0] == (1, 4, 7)
     assert twin == (-1, -1, -1, -1, -1, -1, 5, -1)
+
+
+def test_pending_table_counts_unplaced_children():
+    # entry i holds each vertex among the first i + 1 placed that still has
+    # children to place, with their number, the latest placed first
+    rt, _, pending = oracle._search_rooting(spider_tree(10))
+    assert rt.order == (0, 1, 4, 6, 8, 2, 5, 7, 9, 3)
+    assert pending == (
+        ((0, 4),),
+        ((1, 1), (0, 3)),
+        ((4, 1), (1, 1), (0, 2)),
+        ((6, 1), (4, 1), (1, 1), (0, 1)),
+        ((8, 1), (6, 1), (4, 1), (1, 1)),
+        ((2, 1), (8, 1), (6, 1), (4, 1)),
+        ((2, 1), (8, 1), (6, 1)),
+        ((2, 1), (8, 1)),
+        ((2, 1),),
+        (),
+    )
+    rt, _, pending = oracle._search_rooting(NESTED_TWINS)
+    assert rt.order == tuple(range(8))
+    assert pending == (
+        ((0, 3),),
+        ((1, 2), (0, 2)),
+        ((1, 2), (0, 1)),
+        ((3, 2), (1, 2)),
+        ((3, 2), (1, 1)),
+        ((3, 2),),
+        ((3, 1),),
+        (),
+    )
+
+
+def test_lookahead_cuts_the_blocked_spider():
+    # three consecutive hull edges block the spider: the lookahead cuts
+    # branches and the verdict stays; at n = 12 the frozen reference loop
+    # still runs out at the oracle's whole node count
+    for n in (6, 8, 10, 12):
+        s = convex_points(n, seed=1)
+        forbidden = three_consecutive_hull_edges(s, 0).edges
+        rep = exists_embedding(spider_tree(n), s, forbidden)
+        assert rep.feasible is False and rep.prunes["lookahead"] > 0
+    assert reference_search(spider_tree(12), s, forbidden, rep.nodes_expanded)[0] is None
 
 
 def test_relabellings_search_alike():
@@ -151,7 +195,7 @@ def test_relabellings_search_alike():
         for _ in range(16):
             perm = rng.sample(range(t.k), t.k)
             relabelled = Tree(t.k, [(perm[a], perm[b]) for a, b in t.edges])
-            rt, twin = oracle._search_rooting(relabelled)
+            rt, twin, _ = oracle._search_rooting(relabelled)
             pos = {v: i for i, v in enumerate(rt.order)}
             shape = tuple(pos.get(rt.parent[v], -1) for v in rt.order)
             rep = exists_embedding(relabelled, s, forbidden)
@@ -168,7 +212,7 @@ def test_relabellings_search_alike():
 def test_single_vertex_report():
     rep = exists_embedding(Tree(1, []), random_points(3, seed=1))
     assert rep.feasible is True and rep.nodes_expanded == 1
-    assert rep.prunes == {"crossing": 0, "forbidden": 0}
+    assert rep.prunes == {"crossing": 0, "forbidden": 0, "lookahead": 0}
     assert rep.witness.assignment == (0,)
 
 
@@ -179,7 +223,7 @@ def test_report_counters_and_json():
     data = rep.to_json()
     assert data["feasible"] is True
     assert data["witness"]["crossings"] == 0
-    assert set(rep.prunes) == {"crossing", "forbidden"}
+    assert set(rep.prunes) == {"crossing", "forbidden", "lookahead"}
     unk = exists_embedding(spider_tree(5), s, budget=2).to_json()
     assert unk["feasible"] == "unknown"
 
@@ -250,8 +294,9 @@ def test_search_min_shape_is_pinned(monkeypatch):
     # call and node totals of the search core, and a digest of the answers, over
     # the 24 search-min inputs. The calls and the digest were taken with every
     # call made through exists_embedding, before twin subtrees were tried in
-    # one point order; that rule left them unchanged and cut the nodes from
-    # 156,576, so only the node total was re-pinned
+    # one point order; that rule and then the lookahead left them unchanged
+    # and cut the nodes from 156,576 to 87,612 and then to 51,346, so only
+    # the node total was re-pinned
     calls = nodes = 0
     search = oracle._search
 
@@ -268,7 +313,7 @@ def test_search_min_shape_is_pinned(monkeypatch):
         res = min_forbidden_set_size(random_points(6, 1000 + i), 6, 3)
         answers.append({"size": res.size, "edges": res.edges.to_json()["edges"],
                         "tree": res.tree.to_json()})
-    assert (calls, nodes) == (1885, 87612)
+    assert (calls, nodes) == (1885, 51346)
     digest = hashlib.sha256(json.dumps(answers, sort_keys=True).encode()).hexdigest()
     assert digest == "31fedaadd1dd2d3b507b8d4fb68fa0f3e04b6dce8b0d8b0ba57f22fcc2db2336"
 
@@ -282,7 +327,7 @@ def test_witness_check_fires(monkeypatch):
         # a drawing with a crossing where the tree has two disjoint edges
         for asg in itertools.permutations(range(len(s)), t.k):
             if Embedding(t, s, asg).crossing_count():
-                return True, list(asg), 1, 0, 0
+                return True, list(asg), 1, {}
         return search(t, s, forb_mask, budget)
 
     def ignoring(t, s, forb_mask, budget):
