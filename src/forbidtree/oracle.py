@@ -16,6 +16,7 @@ from .geometry import Edge, EdgeSet, PointSet
 from .trees import RootedTree, Tree, _ahu_codes, all_trees, root_at
 
 DEFAULT_BUDGET = 10**8
+PRUNE_KINDS = ("crossing", "forbidden", "lookahead")
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -27,7 +28,10 @@ class SearchReport:
     """Outcome of one feasibility search.
 
     feasible is True/False for settled verdicts and None when the budget ran
-    out; a witness is present exactly when feasible is True.
+    out; a witness is present exactly when feasible is True. The node and
+    prune counts are those of the search the call ran; a call answered by
+    its pair's first drawing (see ``exists_embedding``) ran none, and
+    reports 0 nodes and 0 prunes of every kind.
     """
 
     feasible: bool | None
@@ -181,8 +185,7 @@ def _search(
         found = search()
     except SearchBudgetExceeded:
         found = None
-    prunes = {"crossing": crossing_prunes, "forbidden": forbidden_prunes,
-              "lookahead": lookahead_prunes}
+    prunes = dict(zip(PRUNE_KINDS, (crossing_prunes, forbidden_prunes, lookahead_prunes)))
     return found, asg, nodes, prunes
 
 
@@ -200,6 +203,11 @@ def _witness(t: Tree, s: PointSet, asg: list[int], forb_mask: int) -> Embedding:
     return witness
 
 
+# The last (tree, set) pair whose first drawing was found: its witness W0
+# and the node count N0 of the search that found it; see exists_embedding.
+_first_drawing: dict[tuple[Tree, PointSet], tuple[Embedding, int]] = {}
+
+
 def exists_embedding(
     t: Tree,
     s: PointSet,
@@ -212,6 +220,22 @@ def exists_embedding(
     and runs the search core ``_search``, the same one that
     ``min_forbidden_set_size`` drives; a witness is checked by ``_witness``.
     Exhaustive within the budget.
+
+    The search finds the lexicographically first plane drawing that avoids
+    F, the forbidden edges. So where W0, the pair's first drawing with
+    nothing forbidden, avoids F, W0 is the answer, and the search settles
+    within N0 nodes, N0 being the node count of the search that found W0:
+    each candidate it tries, the search without F also tries before it
+    reaches W0. A one-entry cache keyed by (tree, set) keeps W0, checked
+    once by ``_witness``, and N0. A call with F nonempty is answered from
+    it, with no search, when W0 avoids F and ``budget >= N0``: feasible,
+    witness W0, 0 nodes and 0 prunes. Every other call reports the counts
+    of its own search. A call with F empty is the search for W0 and fills
+    the cache. On a cold pair a feasible search for F is followed by one
+    for W0 under the same budget, and the rule above then decides the
+    report; an infeasible or unknown call runs one search. The report is
+    thus the same whatever calls came before, and a returned witness may
+    be the same object for several calls.
     """
     k, n = t.k, len(s)
     if k > n:
@@ -222,9 +246,27 @@ def exists_embedding(
     s.check_edges(*forbidden.edges)
     forb_mask = s.edge_mask((e.a, e.b) for e in forbidden.edges)
     start = time.perf_counter()
-    found, asg, nodes, prunes = _search(t, s, forb_mask, budget)
-    witness = _witness(t, s, asg, forb_mask) if found else None
-    return SearchReport(found, witness, nodes, prunes, time.perf_counter() - start)
+
+    def search(mask: int) -> SearchReport:
+        found, asg, nodes, prunes = _search(t, s, mask, budget)
+        return SearchReport(found, _witness(t, s, asg, mask) if found else None, nodes, prunes)
+
+    report = None
+    first = _first_drawing.get((t, s))
+    if first is None or not forb_mask:
+        report = search(forb_mask)
+        if report.feasible and first is None:
+            w0 = search(0) if forb_mask else report
+            if w0.feasible:
+                first = w0.witness, w0.nodes_expanded
+                _first_drawing.clear()
+                _first_drawing[t, s] = first
+    if forb_mask and first and budget >= first[1] and first[0].avoids(forbidden):
+        report = SearchReport(True, first[0], 0, dict.fromkeys(PRUNE_KINDS, 0))
+    elif report is None:
+        report = search(forb_mask)
+    report.elapsed = time.perf_counter() - start
+    return report
 
 
 def forbids(
@@ -261,10 +303,17 @@ def min_forbidden_set_size(
     takes a drawing avoiding F from the tree's pool of oracle witnesses, or
     else from the search core ``_search``, given F as an edge mask and its
     witness checked by ``_witness``; with none, F forbids the tree, otherwise
-    each edge of the drawing extends F, which reaches every forbidding set of
-    size m. The first set found is returned, not always the lexicographically
-    first. ``budget`` bounds each oracle call, and a run-out raises
-    SearchBudgetExceeded. Returns None when no set within the cap forbids.
+    each edge of the drawing extends F in turn. Once the branch on an edge
+    has failed, the later branches at that node exclude it, and a node whose
+    drawing has no edge outside the excluded set is cut (the bounded search
+    tree for hitting set; Niedermeier, "Invitation to Fixed-Parameter
+    Algorithms", 2006, ch. 8). A forbidding set that holds F and misses the
+    excluded edges hits the node's drawing, which avoids F, in an edge
+    outside the excluded set; the first such edge in branch order leads to
+    it, so every set of size m is reached, and none twice. The first set
+    found is returned, not always the lexicographically first. ``budget``
+    bounds each oracle call, and a run-out raises SearchBudgetExceeded.
+    Returns None when no set within the cap forbids.
     """
     n = len(s)
     if not (2 <= k <= n):
@@ -274,8 +323,8 @@ def min_forbidden_set_size(
     if budget <= 0:
         raise ValueError("budget must be positive")
 
-    def grow(t: Tree, pool: list[int], f: int, depth: int) -> int | None:
-        """A forbidding edge mask of f plus at most depth edges, or None."""
+    def grow(t: Tree, pool: list[int], f: int, x: int, depth: int) -> int | None:
+        """A forbidding edge mask of f plus at most depth edges outside x, or None."""
         for w in pool:
             if not w & f:
                 break
@@ -287,18 +336,21 @@ def min_forbidden_set_size(
                 return f
             w = s.edge_mask(_witness(t, s, asg, f).segment_pairs)
             pool.append(w)
+        w &= ~x
         while depth and w:
-            found = grow(t, pool, f | (w & -w), depth - 1)
+            b = w & -w
+            found = grow(t, pool, f | b, x, depth - 1)
             if found is not None:
                 return found
-            w &= w - 1
+            x |= b
+            w ^= b
         return None
 
     trees = all_trees(k)
     pools: list[list[int]] = [[] for _ in trees]
     for m in range(1, min(size_cap, n * (n - 1) // 2) + 1):
         for t, pool in zip(trees, pools):
-            found = grow(t, pool, 0, m)
+            found = grow(t, pool, 0, 0, m)
             if found is not None:
                 return MinForbidResult(m, EdgeSet(Edge(a, b) for a, b in s.edge_pairs(found)), t)
     return None

@@ -345,3 +345,67 @@ def test_witness_check_fires(monkeypatch):
         exists_embedding(path, s, EdgeSet(drawn[:1]))
     with pytest.raises(AssertionError, match="forbidden edge"):
         min_forbidden_set_size(s, 5, 3)
+
+
+def test_first_drawing_answers_at_its_node_count():
+    # the first drawing W0 of tree 2 on seven random points avoids edge 01;
+    # its search takes N0 = 122 nodes and the search with 01 forbidden 63.
+    # Below N0 a call reports its own search, cold or warm; from N0 on it
+    # is answered by W0 with no search
+    s, t = random_points(7, seed=1), all_trees(7)[2]
+    forbidden = EdgeSet([Edge(0, 1)])
+    mask = s.edge_mask([(0, 1)])
+    _, w0, n0, _ = oracle._search(t, s, 0, 10**9)
+    assert n0 == 122 and oracle._search(t, s, mask, 10**9)[2] == 63
+    own = oracle._search(t, s, mask, n0 - 1)
+    assert own[0] is True and own[2] == 63
+    oracle._first_drawing.clear()
+    for budget, cached in ((n0 - 1, False), (n0, True), (n0 - 1, True), (n0, True)):
+        rep = exists_embedding(t, s, forbidden, budget)
+        assert bool(oracle._first_drawing) is cached
+        assert rep.feasible is True and list(rep.witness.assignment) == w0
+        if budget < n0:
+            assert (rep.nodes_expanded, rep.prunes) == (own[2], own[3])
+        else:
+            assert rep.nodes_expanded == 0
+
+
+def test_first_drawing_report_is_empty_of_counts():
+    # a hit runs no search: 0 nodes, every prune kind at 0, and the witness
+    # is the object the call with nothing forbidden returned
+    s, t = convex_points(8, seed=1), spider_tree(8)
+    base = exists_embedding(t, s)
+    unused = next(e for e in complete_edge_set(8) if not base.witness.uses_edge(e))
+    rep = exists_embedding(t, s, EdgeSet([unused]))
+    assert rep.feasible is True and rep.witness is base.witness
+    assert rep.nodes_expanded == 0 and rep.prunes == {"crossing": 0, "forbidden": 0, "lookahead": 0}
+    assert rep.to_json()["nodes"] == 0 and base.nodes_expanded > 0
+
+
+def test_core_calls_per_report(monkeypatch):
+    # a blocked spider runs one search, cold or warm; a feasible call on a
+    # cold pair runs its own search and the one for the first drawing; a
+    # call the first drawing answers runs none, one it does not answer runs
+    # one, and so does a call with nothing forbidden
+    calls = []  # the forbidden mask of each call of the search core
+    search = oracle._search
+
+    def spy(*args):
+        calls.append(args[2])
+        return search(*args)
+
+    monkeypatch.setattr(oracle, "_search", spy)
+    s, t = convex_points(10, seed=1), spider_tree(10)
+    blocked = three_consecutive_hull_edges(s, 0).edges
+    oracle._first_drawing.clear()
+    assert forbids(blocked, t, s) and len(calls) == 1
+    assert exists_embedding(t, s, EdgeSet(list(blocked)[:1])).feasible
+    assert len(calls) == 3 and calls[2] == 0
+    w0 = oracle._first_drawing[t, s][0]
+    assert forbids(blocked, t, s) and len(calls) == 4
+    drawn, unused = w0.segment_edges()[0], Edge(0, 5)
+    assert not w0.uses_edge(unused)
+    del calls[:]
+    assert not forbids(EdgeSet([unused]), t, s) and calls == []
+    assert not forbids(EdgeSet([drawn]), t, s) and len(calls) == 1
+    assert exists_embedding(t, s).nodes_expanded > 0 and len(calls) == 2

@@ -3,17 +3,19 @@
 Pinned digests fix the verdicts and witnesses, and separately every report
 field (node and prune counts too), over small inputs. A frozen copy of an
 older search loop (``oracle_reference.py``, which reads the same crossing
-table and rooting but tries every point at every level) bounds the oracle
-on generated inputs at every budget: wherever the reference settles, the
-oracle settles with the same verdict and witness, and never expands more
-nodes. A brute force over all injective assignments checks the verdicts,
-and the minimum forbidding sizes, with ``segments_cross`` alone; and the
-bitmask crossing table and the candidate rows are checked pair by pair
-against ``segments_cross``.
+table and rooting but tries every point at every level) bounds the search
+core on generated inputs at every budget: wherever the reference settles,
+the core settles with the same verdict and witness, and never expands more
+nodes; and ``exists_embedding`` gives the core's report, or answers from
+the first drawing exactly where its rule allows. A brute force over all
+injective assignments checks the verdicts, and the minimum forbidding
+sizes, with ``segments_cross`` alone; and the bitmask crossing table and
+the candidate rows are checked pair by pair against ``segments_cross``.
 """
 import hashlib
 import itertools
 import json
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +25,14 @@ from prufer_reference import prufer_to_edges, prufer_trees
 from forbidtree.forbid import r_edge_blanket
 from forbidtree.generators import convex_points, random_points
 from forbidtree.geometry import Edge, EdgeSet, PointSet, convex_hull, segments_cross
-from forbidtree.oracle import _search_rooting, exists_embedding, forbids, min_forbidden_set_size
+from forbidtree.oracle import (
+    _first_drawing,
+    _search,
+    _search_rooting,
+    exists_embedding,
+    forbids,
+    min_forbidden_set_size,
+)
 from forbidtree.trees import Tree, all_trees, spider_tree
 
 
@@ -62,18 +71,20 @@ def _digest(rows):
 
 # sha256 prefixes of (verdict and witness of the unbounded searches, every
 # field of every search). The first was taken before twin subtrees were
-# tried in one point order, and neither that rule nor the lookahead changed
-# it. The second was re-pinned with each rule, since each cut the node and
-# prune counts (the lookahead also adds its own prune count) and settles
-# some of the budget-50 searches; before the twin rule, it was the digest
+# tried in one point order, and neither that rule, nor the lookahead, nor
+# the first-drawing answers of exists_embedding changed it. The second was
+# re-pinned with each of the three: the twin rule and the lookahead cut the
+# node and prune counts and settle some of the budget-50 searches (the
+# lookahead also adds its own prune count), and a call answered by the
+# first drawing reports 0 of each. Before the twin rule, it was the digest
 # taken from the frozenset-table oracle.
 PINNED_REPORTS = {
-    ("convex", 5): ("6544f220d7536a89", "54f09d8f6b8be904"),
-    ("random", 5): ("1d2c83682b44dbf4", "82c6eecb4c5d32ad"),
-    ("convex", 6): ("b4cd3c14e6975b14", "b5906e0e09947e53"),
-    ("random", 6): ("6fa1af9a2ec9fd9e", "9b02ebf9fb7039a2"),
-    ("convex", 7): ("5966d335e1cd5265", "e152f63c9d6123ad"),
-    ("random", 7): ("b0d1ea55210071eb", "4ffa352d7b5448e8"),
+    ("convex", 5): ("6544f220d7536a89", "8d5c2bf3c229b437"),
+    ("random", 5): ("1d2c83682b44dbf4", "d22d295862feecd6"),
+    ("convex", 6): ("b4cd3c14e6975b14", "bf2bb41ead8bf543"),
+    ("random", 6): ("6fa1af9a2ec9fd9e", "1c700c489ec19514"),
+    ("convex", 7): ("5966d335e1cd5265", "3eba60aeb7a7dd31"),
+    ("random", 7): ("b0d1ea55210071eb", "9af59d35e440dd02"),
 }
 
 
@@ -130,32 +141,49 @@ def oracle_inputs(draw):
     return t, s, EdgeSet(picked)
 
 
-def assert_dominates_reference(t, s, forbidden, budgets):
-    """The oracle against the frozen loop, at an unbounded budget and at each given one.
+def core_fields(t, s, forbidden, budget):
+    """``report_fields`` of the search core ``_search`` run alone."""
+    found, asg, nodes, prunes = _search(t, s, s.edge_mask((e.a, e.b) for e in forbidden), budget)
+    return [found, nodes, sorted(prunes.items()), asg if found else None]
 
-    Unbounded, both give the same verdict and witness, and the oracle
-    expands no more nodes and prunes no more branches of either kind. At
-    each budget, wherever the reference settles the oracle settles too,
-    with the same verdict and witness; so an oracle run-out means a
-    reference run-out. The oracle's own cut-off is exact: with N its
-    unbounded node count, it settles at budget N with the unbounded report
-    and runs out at N - 1 after N nodes.
+
+def assert_dominates_reference(t, s, forbidden, budgets):
+    """The search core against the frozen loop, and exists_embedding against the core.
+
+    Unbounded, the core and the reference give the same verdict and witness,
+    and the core expands no more nodes and prunes no more branches of either
+    kind. At each budget, wherever the reference settles the core settles
+    too, with the same verdict and witness; so a core run-out means a
+    reference run-out. The core's own cut-off is exact: with N its unbounded
+    node count, it settles at budget N with the unbounded report and runs
+    out at N - 1 after N nodes. At each budget, exists_embedding gives the
+    core's report, except for a hit, which it gives exactly where the rule
+    allows one: F is nonempty, W0 (the core's drawing with nothing
+    forbidden) avoids F, and the budget is at least N0, the node count of
+    the core's search for W0. A hit is feasible with witness W0, 0 nodes
+    and 0 prunes of every kind.
     """
-    full = exists_embedding(t, s, forbidden, 10**9)
+    full = core_fields(t, s, forbidden, 10**9)
     found, nodes, prunes, assignment = reference_search(t, s, forbidden, 10**9)
-    assert verdict_fields(full) == [found, list(assignment) if assignment else None]
-    assert full.nodes_expanded <= nodes
-    assert all(full.prunes[kind] <= count for kind, count in prunes.items())
-    own = full.nodes_expanded
-    for budget in sorted(set(budgets) | {own, own - 1} - {0}):
-        rep = exists_embedding(t, s, forbidden, budget)
+    assert [full[0], full[3]] == [found, list(assignment) if assignment else None]
+    assert full[1] <= nodes
+    assert all(dict(full[2])[kind] <= count for kind, count in prunes.items())
+    own = full[1]
+    _, w0, n0, _ = _search(t, s, 0, 10**9)
+    drawn = {(min(w0[a], w0[b]), max(w0[a], w0[b])) for a, b in t.edges}
+    avoids = bool(forbidden.edges) and drawn.isdisjoint((e.a, e.b) for e in forbidden)
+    hit = [True, 0, [(kind, 0) for kind, _ in full[2]], w0]
+    for budget in sorted(set(budgets) | {own, own - 1, n0, n0 - 1} - {0}):
+        core = core_fields(t, s, forbidden, budget)
         found, _, _, assignment = reference_search(t, s, forbidden, budget)
         if found is not None:
-            assert verdict_fields(rep) == [found, list(assignment) if assignment else None], budget
-        if rep.unknown:
-            assert found is None and budget < own and rep.nodes_expanded == budget + 1, budget
+            assert [core[0], core[3]] == [found, list(assignment) if assignment else None], budget
+        if core[0] is None:
+            assert found is None and budget < own and core[1] == budget + 1, budget
         else:
-            assert budget >= own and report_fields(rep) == report_fields(full), budget
+            assert budget >= own and core == full, budget
+        rep = report_fields(exists_embedding(t, s, forbidden, budget))
+        assert rep == (hit if avoids and budget >= n0 else core), budget
 
 
 # Run-outs are where a rewrite of the search loop breaks first, so both tests
@@ -181,7 +209,7 @@ def test_oracle_matches_reference_at_every_budget():
     for s in (convex_points(6, 1), random_points(7, 1), convex_points(7, 1)):
         t, forbidden = spider_tree(len(s)), hull_run(s)
         nodes = reference_search(t, s, forbidden, 10**9)[1]
-        own = exists_embedding(t, s, forbidden).nodes_expanded
+        own = core_fields(t, s, forbidden, 10**9)[1]
         assert nodes > 500 and own < nodes and own < 1000
         budgets = [*range(1, min(nodes, 1000) + 2), nodes, nodes + 1]
         assert_dominates_reference(t, s, forbidden, budgets)
@@ -198,24 +226,57 @@ def test_oracle_matches_reference_on_every_tree_of_eight():
 
 
 def test_reports_do_not_depend_on_cache_state():
-    # equal but distinct trees share a cached rooting, and another shape on
-    # the same k must not; searched in alternation on one point set, each
-    # report equals a fresh call made with the cache cleared
+    # equal but distinct trees share a cached rooting and a cached first
+    # drawing, and another shape on the same k must not; searched in
+    # alternation on one point set, with forbidden sets that block, that
+    # the first drawing avoids and that it uses, and with nothing forbidden,
+    # each report equals a call made with both caches cleared
     s = random_points(7, 3)
-    forbidden = hull_run(s)
     shapes = all_trees(7)
     twin = Tree(7, shapes[4].edges)
     trees = [shapes[4], shapes[9], twin, shapes[4], shapes[9], twin]
     assert twin is not shapes[4] and twin == shapes[4]
-    fresh = []
-    for t in trees:
-        _search_rooting.cache_clear()
-        fresh.append([report_fields(exists_embedding(t, s, forbidden, b)) for b in (40, 10**8)])
-    warm = [[report_fields(exists_embedding(t, s, forbidden, b)) for b in (40, 10**8)]
-            for t in trees]
-    assert warm == fresh
-    assert fresh[0] == fresh[2] != fresh[1]
+    star = EdgeSet(Edge(0, q) for q in range(1, 7))
+    sets = (hull_run(s), star, EdgeSet([Edge(0, 1)]), EdgeSet([Edge(2, 6)]), EdgeSet())
+    cases = [(f, b) for f in sets for b in (40, 10**8)]
+
+    def reports(t, clear):
+        rows = []
+        for forbidden, budget in cases:
+            if clear:
+                _search_rooting.cache_clear()
+                _first_drawing.clear()
+            rows.append(report_fields(exists_embedding(t, s, forbidden, budget)))
+        return rows
+
+    cold = [reports(t, True) for t in trees]
+    warm = [reports(t, False) for t in trees]
+    assert warm == cold
+    assert cold[0] == cold[2] != cold[1]
+    assert any(row[1] == 0 for rows in cold for row in rows)  # some call is a hit
+    assert any(row[0] is False for rows in cold for row in rows)
     assert _search_rooting.cache_info().maxsize is not None
+    assert len(_first_drawing) == 1
+
+
+def test_cached_answers_match_the_search_core():
+    # every tree on n = 5..8 points against every single edge, and every
+    # pair of edges at n <= 6: the verdict and witness of exists_embedding,
+    # hit or not, are the search core's, run with no cache
+    hits = 0
+    for n in (5, 6, 7, 8):
+        edges = all_edges(n)
+        sets = [EdgeSet([e]) for e in edges]
+        if n <= 6:
+            sets += [EdgeSet(pair) for pair in itertools.combinations(edges, 2)]
+        for s in (convex_points(n, 1), convex_points(n, 2), random_points(n, 1), random_points(n, 2)):
+            for t in all_trees(n):
+                for forbidden in sets:
+                    rep = report_fields(exists_embedding(t, s, forbidden))
+                    core = core_fields(t, s, forbidden, 10**9)
+                    assert [rep[0], rep[3]] == [core[0], core[3]], (n, t.edges, forbidden)
+                    hits += rep[1] == 0
+    assert hits > 0
 
 
 def plane_drawings(t, s):
@@ -284,6 +345,38 @@ def test_min_forbidden_matches_brute_force():
                             continue
                         assert res.size == len(res.edges) == expected, (n, seed, k, cap)
                         assert all(d & res.edges.edges for d in drawings[res.tree])
+
+
+def test_min_forbidden_below_spanning_matches_brute_force():
+    # k < n at the cap of every edge, where a size of 5 to 12 makes the
+    # search branch deep: the size is the brute-force minimum, the set
+    # blocks every drawing of its tree, and one edge fewer finds nothing
+    for n in (5, 6):
+        for seed in (1, 2):
+            for s in (convex_points(n, seed), random_points(n, seed)):
+                for k in range(3, n):
+                    drawings = {t: plane_drawings(t, s) for t in all_trees(k)}
+                    cap = n * (n - 1) // 2
+                    expected = min_hitting_size(drawings.values(), all_edges(n), cap)
+                    res = min_forbidden_set_size(s, k, cap)
+                    assert res.size == len(res.edges) == expected, (n, seed, k)
+                    assert all(d & res.edges.edges for d in drawings[res.tree])
+                    assert min_forbidden_set_size(s, k, expected - 1) is None, (n, seed, k)
+
+
+def test_min_forbidden_convex_seven_gon_below_spanning():
+    # k = 5 on the convex 7-gon: 11 edges block the chair. Branching on
+    # every edge of each drawing reached each set in many orders (about
+    # 30 s); excluding the edges of the failed branches takes about 0.5 s,
+    # so the bound leaves a wide margin for slow hosts
+    s = convex_points(7, 1)
+    start = time.perf_counter()
+    res = min_forbidden_set_size(s, 5, 12)
+    assert time.perf_counter() - start < 10
+    assert res.size == 11 and res.tree.edges == ((0, 1), (0, 2), (0, 3), (1, 4))
+    assert sorted((e.a, e.b) for e in res.edges) == [
+        (0, 1), (0, 2), (0, 5), (0, 6), (1, 2), (1, 3), (1, 6), (2, 3), (3, 4), (4, 5), (5, 6)]
+    assert all(d & res.edges.edges for d in plane_drawings(res.tree, s))
 
 
 # (n, seed, k, cap) -> size. The n = 7 sizes agree with the brute force in
