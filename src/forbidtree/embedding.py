@@ -24,6 +24,7 @@ from .geometry import (
     hull_edges,
     polar_order,
     require_convex_position,
+    visible_hull_vertices,
     _facing_chain,
 )
 from .trees import RootedTree, Tree, root_at, sort_children_by_subtree_size
@@ -156,7 +157,6 @@ class Placement(Enum):
     """A whole-subtree placement that replaces the wedge step at its root."""
 
     STAR = "star"
-    PATH3 = "path3"
     SPIDER = "spider"
 
 
@@ -169,15 +169,17 @@ class RepairPlan:
     edge to the parent is not in avoid_edges, if the visible hull offers one:
     child_order: per-vertex child order, which fixes the order of the blocks.
     avoid_edges: sorted point pairs not to draw a child on; the hull edges for
-      few-hull, the forbidden edge for every re-run of the single-edge repair.
+      few-hull, the forbidden edge for every re-run of the single-edge repair,
+      whose placements read it as their one pair.
     placements: whole-subtree placements keyed by subtree root.
-    root_anchor: the point of the center when the tree root is a SPIDER.
+    pinned: the point a vertex must take, in place of its visible-hull
+      choice (or of the lowest point, at the root).
     """
 
     child_order: list[list[int]]
     avoid_edges: frozenset[tuple[int, int]] = frozenset()
     placements: dict[int, Placement] = field(default_factory=dict)
-    root_anchor: int | None = None
+    pinned: dict[int, int] = field(default_factory=dict)
 
 
 class _Engine:
@@ -185,10 +187,8 @@ class _Engine:
 
     Each cell is sorted once around its apex. A child block is a slice of
     that order, so it is read as it is, and its subtree is drawn inside its
-    own cone from the apex, which no segment of another cone enters.
-
-    forbidden is the edge the whole-subtree placements keep off; only the
-    single-edge repair's re-runs set placements, and they always pass it.
+    own cone from the apex, which no segment of another cone enters. A
+    pinned root may sit inside the hull; its cell is sorted by _fan_order.
     """
 
     def __init__(
@@ -196,26 +196,20 @@ class _Engine:
         s: PointSet,
         rt: RootedTree,
         plan: RepairPlan,
-        forbidden: Edge | None = None,
         trace: list[WedgePartition] | None = None,
     ):
         self.s = s
         self.rt = rt
         self.plan = plan
-        self.forbidden = forbidden
         self.trace = trace
         self.asg = [-1] * rt.k
 
     def run(self) -> list[int]:
         root = self.rt.root
-        placement = self.plan.placements.get(root)
-        if placement is Placement.SPIDER:
-            self._spider_from_root(self.plan.root_anchor)
-            return self.asg
-        if placement is Placement.STAR:
+        if self.plan.placements.get(root) is Placement.STAR:
             self._place_star(root, list(range(len(self.s))))
             return self.asg
-        root_pt = lowest_point_root(self.s)
+        root_pt = self.plan.pinned.get(root, lowest_point_root(self.s))
         self.asg[root] = root_pt
         rest = [i for i in range(len(self.s)) if i != root_pt]
         self._place_subtree(root, root_pt, rest)
@@ -226,7 +220,8 @@ class _Engine:
         kids = self.plan.child_order[v]
         if not kids:
             return iter(())
-        order = angular_sort(self.s, v_pt, cell)
+        sort = _fan_order if v in self.plan.pinned else angular_sort
+        order = sort(self.s, v_pt, cell)
         blocks = []
         pos = 0
         for c in kids:
@@ -245,6 +240,7 @@ class _Engine:
         """
         # both orders of each avoided pair, so a candidate costs one lookup
         off = {pair for a, b in self.plan.avoid_edges for pair in ((a, b), (b, a))}
+        placements, pinned = self.plan.placements, self.plan.pinned
         stack = [(v_pt, self._blocks(v, v_pt, cell))]
         while stack:
             v_pt, blocks = stack[-1]
@@ -253,19 +249,19 @@ class _Engine:
                 stack.pop()
                 continue
             c, block = step
-            placement = self.plan.placements.get(c)
+            placement = placements.get(c)
             if placement is not None:
                 if placement is Placement.STAR:
                     self._place_star(c, block)
-                elif placement is Placement.PATH3:
-                    self._place_path3(c, block)
                 else:
                     self._place_spider(c, v_pt, block)
                 continue
-            cand = _facing_chain(self.s.xy, block)
-            if off:
-                cand = [q for q in cand if (v_pt, q) not in off] or cand
-            c_pt = cand[0]
+            c_pt = pinned.get(c)
+            if c_pt is None:
+                cand = _facing_chain(self.s.xy, block)
+                if off:
+                    cand = [q for q in cand if (v_pt, q) not in off] or cand
+                c_pt = cand[0]
             self.asg[c] = c_pt
             rest = [x for x in block if x != c_pt]
             stack.append((c_pt, self._blocks(c, c_pt, rest)))
@@ -279,36 +275,12 @@ class _Engine:
         exists: the block holds a vertex and its >= 2 leaves, so at least 3
         points, or, at the root, all n >= 5.
         """
-        e = self.forbidden
-        center = min(x for x in block if x != e.a and x != e.b)
+        (e,) = self.plan.avoid_edges
+        center = min(x for x in block if x not in e)
         self.asg[c] = center
         rest = sorted(x for x in block if x != center)
         for leaf, pt in zip(self.plan.child_order[c], rest):
             self.asg[leaf] = pt
-
-    def _place_path3(self, z: int, block: list[int]) -> None:
-        """Re-embed a 3-vertex chain into its 3-point cell avoiding the edge.
-
-        The chain head goes to a visible endpoint of the forbidden edge, the
-        middle vertex to the third cell point; every such drawing is planar
-        because the two chain segments share the middle point and the
-        attachment only touches the cell at a visible hull vertex.
-
-        The block is {z's point, p, q} for e = (p, q), as in the last run,
-        since a plan edit at z leaves z's block as it was. One of p and q is
-        an angular extreme of the 3 points, and both extremes are visible.
-        """
-        e = self.forbidden
-        (third,) = [x for x in block if x != e.a and x != e.b]
-        if e.a in _facing_chain(self.s.xy, block):
-            head_pt, tail_pt = e.a, e.b
-        else:
-            head_pt, tail_pt = e.b, e.a
-        u = self.plan.child_order[z][0]
-        v = self.plan.child_order[u][0]
-        self.asg[z] = head_pt
-        self.asg[u] = third
-        self.asg[v] = tail_pt
 
     def _place_spider(self, z: int, attach_pt: int, block: list[int]) -> None:
         """Re-anchor a legs-of-two spider subtree inside its own cell.
@@ -319,10 +291,11 @@ class _Engine:
         strictly between its two even-rank endpoints). The legs are then
         completed by exhaustive search over all pairings; the search space is
         complete for the fixed center, so failure is a reportable defect.
-        Both endpoints of e lie in the block, as for _place_path3.
+        Both endpoints of e lie in the block, as the last run drew e in
+        it and a plan edit at z leaves z's block as it was.
         """
-        e = self.forbidden
-        ra, rb = sorted((block.index(e.a), block.index(e.b)))
+        (e,) = self.plan.avoid_edges
+        ra, rb = sorted(block.index(p) for p in e)
         if ra % 2 == 1:
             t = ra
         elif rb % 2 == 1:
@@ -351,14 +324,14 @@ class _Engine:
         The spider lies in its block's cone from attach_pt, so a spoke or leg
         can cross only the attach edge or another of its own legs.
         """
-        e = self.forbidden
-        banned = {e.a, e.b}
+        (e,) = self.plan.avoid_edges
+        banned = {e, e[::-1]}
         xy = self.s.xy
 
         def ok(new: tuple[int, int], against: list[tuple[int, int]]) -> bool:
-            p, q = new
-            if {p, q} == banned:
+            if new in banned:
                 return False
+            p, q = new
             return not any(p != c and p != d and q != c and q != d and crosses(xy, p, q, c, d)
                            for c, d in against)
 
@@ -382,38 +355,21 @@ class _Engine:
 
         return dfs(rest, [(attach_pt, center)], [])
 
-    def _spider_from_root(self, parent_endpoint: int) -> None:
-        """Whole-tree re-embedding for a center-rooted legs-of-two spider.
 
-        The center moves onto the forbidden edge's parent endpoint; the
-        remaining points are listed counter-clockwise starting after the
-        unique reflex gap (if any), so every consecutive pair subtends less
-        than pi at the center. Legs pair up consecutive points; a leg whose
-        natural spoke target is the forbidden edge's other endpoint swaps
-        its two points. The anchor is an endpoint of e: it is the point of
-        the root's child u, and the last run drew (u, v) on e.
-        """
-        e = self.forbidden
-        rt = self.rt
-        p = parent_endpoint
-        q = e.b if e.a == p else e.a
-        others = polar_order(self.s, p, [i for i in range(len(self.s)) if i != p])
-        m = len(others)
-        cut = 0
-        for j in range(m):
-            if self.s.orient_idx(p, others[j], others[(j + 1) % m]) == -1:
-                cut = (j + 1) % m
-                break
-        lst = others[cut:] + others[:cut]
-        self.asg[rt.root] = p
-        j = lst.index(q)
-        for i, c in enumerate(self.plan.child_order[rt.root]):
-            a, b = lst[2 * i], lst[2 * i + 1]
-            if j == 2 * i:
-                a, b = b, a
-            leaf_v = self.plan.child_order[c][0]
-            self.asg[c] = a
-            self.asg[leaf_v] = b
+def _fan_order(s: PointSet, center: int, cell: Sequence[int]) -> list[int]:
+    """cell counter-clockwise around center, cut after its one gap wider than pi.
+
+    At a hull vertex of {center} + cell this is angular_sort's order. An
+    interior center has no such gap, and the polar order stays as it is.
+    Either way each consecutive pair turns counter-clockwise by less than
+    pi, so a block of two consecutive points spans less than pi.
+    """
+    others = polar_order(s, center, cell)
+    m = len(others)
+    for j in range(m):
+        if s.orient_idx(center, others[j], others[(j + 1) % m]) == -1:
+            return others[j + 1:] + others[:j + 1]
+    return others
 
 
 def _default_plan(rt: RootedTree) -> RepairPlan:
@@ -452,9 +408,9 @@ def _find_edge_use(rt: RootedTree, asg: Sequence[int], e: Edge) -> tuple[int, in
 def _single_base(t: Tree, s: PointSet) -> tuple[RootedTree, Embedding]:
     """The rooting and first wedge run of embed_avoiding_single, kept for the next call.
 
-    The default plan places no whole subtree, and only such placements read
-    the forbidden edge, so the first run is the same for every edge; a
-    sweep over the edges of one tree and set draws it once.
+    The default plan avoids no edge, places no whole subtree and pins no
+    vertex, so the first run is the same for every edge; a sweep over the
+    edges of one tree and set draws it once.
     """
     rt = sort_children_by_subtree_size(root_at(t, 0))
     return rt, Embedding(t, s, tuple(_Engine(s, rt, _default_plan(rt)).run()))
@@ -489,20 +445,21 @@ def embed_avoiding_single(t: Tree, s: PointSet, e: Edge) -> Embedding:
     asg = base.assignment
     for i in range(n):
         if i:
-            asg = _Engine(s, rt, plan, forbidden=e).run()
+            asg = _Engine(s, rt, plan).run()
         bad = _find_edge_use(rt, asg, e)
         if bad is None:
             emb = Embedding(t, s, tuple(asg))
             emb.validate()
             return emb
         u, v = bad
-        _apply_repair(rt, plan, u, v, asg)
+        _apply_repair(s, rt, plan, u, v, asg)
     raise EmbeddingDefectError(
         f"forbidden edge still used after {n} rounds; this input is a reportable defect"
     )
 
 
-def _apply_repair(rt: RootedTree, plan: RepairPlan, u: int, v: int, asg: Sequence[int]) -> None:
+def _apply_repair(s: PointSet, rt: RootedTree, plan: RepairPlan, u: int, v: int,
+                  asg: Sequence[int]) -> None:
     """One repair step for a forbidden edge e drawn on tree edge (u, v).
 
     u is the parent (at point p), v the child (at point q). Every re-run
@@ -517,9 +474,24 @@ def _apply_repair(rt: RootedTree, plan: RepairPlan, u: int, v: int, asg: Sequenc
          onto v's block start; the filter steers it off q, as u sits at p.
       c. v is a leaf and so are all its siblings: re-fan u's star subtree
          from a cell point off the forbidden edge.
-      d. v is an only-child leaf: fix the grandparent's chain cell, shift
-         the block boundaries at the grandparent, or re-anchor a spider
-         subtree (at the root or inside its own cell).
+      d. v is an only-child leaf: pin the grandparent z of a 3-vertex
+         chain at an end of e, shift the block boundaries at z, or
+         re-anchor a spider subtree (pinned at the root, placed inside its
+         own cell elsewhere).
+
+    The two pins of (d) turn whole-subtree placements into plain runs. A
+    chain z, u, v fills z's block, which is {z's point, p, q} as in the last
+    run, since a plan edit at z leaves z's block as it was. One of p and q
+    is an angular extreme of the 3 points seen from z's parent, and both
+    extremes are visible, so z is pinned at a visible one, the lower first;
+    the filter then puts u on the third point and v on the other end of e.
+    The two chain segments share u's point, and the attachment touches the
+    block only at a visible hull vertex, so the drawing is planar. A root
+    spider's center is pinned at p, the point of the root's child u; p may
+    lie inside the hull, and _fan_order lists the other points around it so
+    that each leg's 2-point block spans less than pi. Each leg stays in its
+    own cone from p, and the filter swaps a leg whose middle vertex would
+    sit on q with its leaf.
 
     Every repair finds the child orders of u and z ascending by subtree
     size, as they start, so rule (b) finds v2 after v. A plan edit at a
@@ -527,13 +499,14 @@ def _apply_repair(rt: RootedTree, plan: RepairPlan, u: int, v: int, asg: Sequenc
     block, and the last run drew only (u, v) on e, so every rule but (d)'s
     reorder ends the loop. (a) v moves off q. (b) q starts v2's block, v2
     moves off it, and u's leaves sit elsewhere. (c), (d)'s chain and
-    spider: the star center and the chain middle are off e, and the spider
-    search skips it. (d)'s leaf shift: u's block slides back one point and
-    keeps one of p and q; the leaf takes the other, from z's point. (d)'s
-    reorder puts u2, of >= 3 vertices, on u's block start, so p and q both
-    fall in u2's block: the next edge on e lies in u2's subtree, whose
-    child orders are untouched, and it goes to a leaf, as the filter steers
-    every bigger child.
+    spiders: the star center and the chain middle are off e, the filter
+    keeps the root spider's spokes off q, and the cell spider's search
+    skips e. (d)'s leaf shift: u's block slides back one point and keeps
+    one of p and q; the leaf takes the other, from z's point. (d)'s reorder
+    puts u2, of >= 3 vertices, on u's block start, so p and q both fall in
+    u2's block: the next edge on e lies in u2's subtree, whose child orders
+    are untouched, and it goes to a leaf, as the filter steers every bigger
+    child.
 
     So the loop needs at most n - 3 rounds: the base run, then one re-run
     per repair. Each reorder moves the next repair's grandparent z strictly
@@ -561,7 +534,10 @@ def _apply_repair(rt: RootedTree, plan: RepairPlan, u: int, v: int, asg: Sequenc
     z = rt.parent[u]
     siblings_u = [c for c in child_order[z] if c != u]
     if not siblings_u:
-        plan.placements[z] = Placement.PATH3
+        # z, u, v fill z's block {z's point, p, q}; pin z at a visible end of e
+        a, b = sorted((asg[u], asg[v]))
+        chain = visible_hull_vertices(s, asg[rt.parent[z]], (asg[z], a, b))
+        plan.pinned[z] = a if a in chain else b
         return
     big_u = [c for c in siblings_u if size[c] >= 3
              and child_order[z].index(c) > child_order[z].index(u)]
@@ -579,9 +555,10 @@ def _apply_repair(rt: RootedTree, plan: RepairPlan, u: int, v: int, asg: Sequenc
         child_order[z].insert(child_order[z].index(u) + 1, leaf_sib)
         return
     # every sibling subtree of u is a 2-vertex chain: spider territory
-    plan.placements[z] = Placement.SPIDER
     if rt.parent[z] is None:
-        plan.root_anchor = asg[u]
+        plan.pinned[z] = asg[u]
+    else:
+        plan.placements[z] = Placement.SPIDER
 
 
 def embed_few_hull_edges(t: Tree, s: PointSet) -> Embedding:

@@ -240,19 +240,21 @@ def suite_bounds(seeds: Sequence[int] = range(1, 6)) -> Iterator[CaseResult]:
 
 def suite_bracket(ns: Sequence[int] = (5, 6),
                   seeds: Sequence[int] = range(1, 11)) -> Iterator[CaseResult]:
-    """Minimum forbidding size on spanning trees: 3 on convex sets, 2 or 3 otherwise.
+    """Minimum forbidding size on spanning trees: >= 2 on every set, exactly 3 on convex sets.
 
-    A size-2 result on a non-convex set is an open-gap sighting and is
-    reported prominently in the note, not treated as a failure. A size-2
-    result on a convex set contradicts the paper's convex minimum of 3: it
-    gets the same note and fails the case.
+    The search stops at size 3, so no set within the cap means a minimum of
+    at least 4, reported as size null. That passes on a non-convex set and
+    fails on a convex one. A size-2 result on a non-convex set is an
+    open-gap sighting and is reported prominently in the note, not treated
+    as a failure. A size-2 result on a convex set contradicts the paper's
+    convex minimum of 3: it gets the same note and fails the case.
     """
     def check(counters, s, n, seed):
         res = min_forbidden_set_size(s, n, 3)
-        counters["size"] = res.size if res else 0
-        if res is None or res.size != 2:
-            return res is not None and res.size == 3, ""
+        counters["size"] = size = res.size if res else None
         convex = is_convex_position(s)
+        if size != 2:
+            return (size == 3 if convex else size != 1), ""
         shape = "convex" if convex else "NON-CONVEX"
         return not convex, (f"NOTABLE: 2-edge forbidding set on {shape} set "
                             f"(n={n}, seed={seed}): {[e.to_json() for e in res.edges]} "

@@ -85,7 +85,7 @@ def test_criterion_08_bound_consistency():
 
 
 def test_criterion_09_spanning_bracket():
-    _run_suite(9, "minimum forbidding size for spanning trees lands in {2,3}",
+    _run_suite(9, "minimum forbidding size for spanning trees: >= 2, and 3 if convex",
                suite_bracket(ns=(5, 6), seeds=range(1, 11)))
 
 

@@ -8,6 +8,8 @@ import pytest
 from prufer_reference import prufer_trees
 
 from forbidtree.embedding import (
+    Embedding,
+    RepairPlan,
     _default_plan,
     _Engine,
     _single_base,
@@ -16,7 +18,7 @@ from forbidtree.embedding import (
     embed_few_hull_edges,
 )
 from forbidtree.generators import convex_points, random_points
-from forbidtree.geometry import Edge, EdgeSet, convex_hull
+from forbidtree.geometry import Edge, EdgeSet, PointSet, convex_hull, visible_hull_vertices
 from forbidtree.oracle import exists_embedding
 from forbidtree.trees import Tree, all_trees, root_at, sort_children_by_subtree_size, spider_tree
 
@@ -251,17 +253,21 @@ def test_spider_cell_repairs_are_pinned(monkeypatch):
 
 
 def test_first_wedge_run_ignores_the_forbidden_edge():
-    """The default plan's run is the same for every edge, so one base serves a sweep."""
+    """The default plan reads no edge, so one base drawing serves every edge it avoids."""
     for n in (5, 6, 7, 8):
         edges = all_edges(n)
         for t in all_trees(n):
             rt = sort_children_by_subtree_size(root_at(t, 0))
+            plan = _default_plan(rt)
+            assert (plan.avoid_edges, plan.placements, plan.pinned) == (frozenset(), {}, {})
             for gen in (convex_points, random_points):
                 for seed in (1, 2, 3):
                     s = gen(n, seed)
-                    plain = _Engine(s, rt, _default_plan(rt)).run()
+                    _, base = _single_base(t, s)
+                    assert base.assignment == tuple(_Engine(s, rt, plan).run())
                     for e in edges:
-                        assert _Engine(s, rt, _default_plan(rt), forbidden=e).run() == plain
+                        if not base.uses_edge(e):
+                            assert embed_avoiding_single(t, s, e) is base
 
 
 def test_single_base_cache_misses_and_equal_keys():
@@ -296,7 +302,7 @@ def test_edge_sweep_runs_the_engine_once_plus_repairs(monkeypatch):
     real_run, real_repair = embedding._Engine.run, embedding._apply_repair
 
     def run_spy(self):
-        runs.append(self.forbidden)
+        runs.append(self.plan.avoid_edges)
         return real_run(self)
 
     def repair_spy(*a):
@@ -311,7 +317,7 @@ def test_edge_sweep_runs_the_engine_once_plus_repairs(monkeypatch):
         emb = embed_avoiding_single(SPIDER_REPAIR, s, e)
         assert not emb.uses_edge(e) and emb.crossing_count() == 0
     assert (len(runs), len(repairs)) == (9, 8)
-    assert runs[0] is None and None not in runs[1:]
+    assert runs[0] == frozenset() and all(len(r) == 1 for r in runs[1:])
 
 
 def test_reorder_then_filter_takes_two_runs(monkeypatch):
@@ -326,7 +332,7 @@ def test_reorder_then_filter_takes_two_runs(monkeypatch):
     real_run = embedding._Engine.run
 
     def run_spy(self):
-        runs.append(self.forbidden)
+        runs.append(self.plan.avoid_edges)
         return real_run(self)
 
     monkeypatch.setattr(embedding._Engine, "run", run_spy)
@@ -334,41 +340,54 @@ def test_reorder_then_filter_takes_two_runs(monkeypatch):
     t = Tree(6, [(0, 1), (0, 2), (1, 3), (2, 4), (3, 5)])
     emb = embed_avoiding_single(t, convex_points(6, 1), Edge(0, 1))
     assert emb.assignment == (5, 0, 3, 2, 4, 1)
-    assert runs == [None, Edge(0, 1)]
+    assert runs == [frozenset(), frozenset({(0, 1)})]
+
+
+def test_chain_head_takes_the_lower_end_of_e_when_both_are_visible():
+    """Rule (d)'s chain pin: both ends of e = (0, 5) are visible, and z (vertex 1) takes 0."""
+    t = Tree(6, [(0, 1), (0, 2), (1, 3), (2, 4), (3, 5)])
+    emb = embed_avoiding_single(t, random_points(6, 3), Edge(0, 5))
+    assert emb.assignment == (1, 0, 4, 2, 3, 5)
 
 
 def test_placements_get_the_cells_their_proofs_promise(monkeypatch):
-    """The whole-subtree placements run only on the cells their docstrings prove.
+    """The whole-subtree placements and the pins get only the cells _apply_repair proves.
 
-    STAR: a point off e. PATH3: exactly 3 points, both ends of e, one of
-    them visible. SPIDER: both ends of e. Root spider: anchored on e.
+    STAR: a point off e. SPIDER: both ends of e. A pin: an end of e; below
+    the root, on a 3-point block that holds both ends of e, and on the
+    block's chain facing the parent.
     """
     import forbidtree.embedding as embedding
-    from forbidtree.geometry import _facing_chain
     reached = set()
 
     def check_star(self, c, block):
-        e = self.forbidden
-        assert any(x not in (e.a, e.b) for x in block)
-
-    def check_path3(self, z, block):
-        e = self.forbidden
-        assert len(block) == 3 and e.a in block and e.b in block
-        assert {e.a, e.b} & set(_facing_chain(self.s.xy, block))
+        (e,) = self.plan.avoid_edges
+        assert any(x not in e for x in block)
+        reached.add("star")
 
     def check_spider(self, z, attach_pt, block):
-        e = self.forbidden
-        assert e.a in block and e.b in block
+        (e,) = self.plan.avoid_edges
+        assert set(e) <= set(block)
+        reached.add("spider")
 
-    def check_root_spider(self, anchor):
-        assert anchor in (self.forbidden.a, self.forbidden.b)
+    def check_pin(self, v, v_pt, cell):
+        if v not in self.plan.pinned:
+            return
+        (e,) = self.plan.avoid_edges
+        assert v_pt == self.plan.pinned[v] and v_pt in e
+        parent = self.rt.parent[v]
+        if parent is None:
+            reached.add("pinned root")
+            return
+        block = [v_pt, *cell]
+        assert len(block) == 3 and set(e) <= set(block)
+        assert v_pt in visible_hull_vertices(self.s, self.asg[parent], block)
+        reached.add("pinned vertex")
 
-    for name, check in (("_place_star", check_star), ("_place_path3", check_path3),
-                        ("_place_spider", check_spider),
-                        ("_spider_from_root", check_root_spider)):
-        def spy(self, *a, _real=getattr(embedding._Engine, name), _check=check, _name=name):
+    for name, check in (("_place_star", check_star), ("_place_spider", check_spider),
+                        ("_blocks", check_pin)):
+        def spy(self, *a, _real=getattr(embedding._Engine, name), _check=check):
             _check(self, *a)
-            reached.add(_name)
             return _real(self, *a)
 
         monkeypatch.setattr(embedding._Engine, name, spy)
@@ -389,7 +408,7 @@ def test_placements_get_the_cells_their_proofs_promise(monkeypatch):
     for gen in (convex_points, random_points):
         for seed in (1, 2, 3):
             sweep(SPIDER_REPAIR, gen(9, seed))
-    assert reached == {"_place_star", "_place_path3", "_place_spider", "_spider_from_root"}
+    assert reached == {"star", "spider", "pinned root", "pinned vertex"}
 
 
 def test_repair_rounds_stay_within_the_proved_bound(monkeypatch):
@@ -418,3 +437,32 @@ def test_repair_rounds_stay_within_the_proved_bound(monkeypatch):
                     assert len(repairs) <= n - 4, (t.edges, e)
                     most = max(most, len(repairs))
     assert most == 2
+
+
+def test_no_hull_rooted_run_avoids_this_interior_edge():
+    """A rooted wedge run at a hull vertex does not always avoid an edge; the root spider does.
+
+    Over a pentagon with two interior points, every run with its root
+    pinned at a hull vertex, for every root vertex and child order, draws
+    the interior edge e. The repair avoids it by pinning the spider's center
+    inside the hull, at an end of e.
+    """
+    s = PointSet([(4, 0), (1, 4), (-4, 2), (-4, -2), (1, -4), (-1, -1), (-1, 1)])
+    t, e = spider_tree(7), Edge(5, 6)
+    assert convex_hull(s) == [0, 1, 2, 3, 4]
+    runs = 0
+    for h in range(5):
+        for root in range(7):
+            rt = root_at(t, root)
+            orders = [itertools.permutations(rt.children[v]) for v in range(7)]
+            for order in itertools.product(*orders):
+                plan = RepairPlan([list(kids) for kids in order], frozenset({(5, 6)}),
+                                  pinned={root: h})
+                emb = Embedding(t, s, tuple(_Engine(s, rt, plan).run()))
+                assert emb.uses_edge(e) and emb.crossing_count() == 0
+                runs += 1
+    assert runs == 120
+    emb = embed_avoiding_single(t, s, e)
+    assert emb.assignment == (6, 1, 2, 3, 5, 4, 0)
+    assert not emb.uses_edge(e) and emb.crossing_count() == 0
+    assert exists_embedding(t, s, EdgeSet([e])).feasible is True

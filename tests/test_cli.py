@@ -328,6 +328,27 @@ def test_verify_bracket_convex_size_two_fails(monkeypatch, capsys):
         assert err.startswith(f"NOTABLE: 2-edge forbidding set on {shape} set (n=5, seed=3)")
 
 
+@pytest.mark.parametrize("size,convex,ok", [
+    (None, True, False), (None, False, True), (1, True, False), (1, False, False),
+    (3, True, True), (3, False, True),
+])
+def test_verify_bracket_checks_what_the_paper_claims(monkeypatch, capsys, size, convex, ok):
+    # the minimum is >= 2 on every set and exactly 3 on convex sets; no set
+    # within the cap of 3 means a minimum of at least 4, reported as null
+    def fake(s, k, cap):
+        if size is None:
+            return None
+        return MinForbidResult(size, EdgeSet([Edge(0, i) for i in range(1, size + 1)]),
+                               spider_tree(k))
+
+    monkeypatch.setattr(suites, "min_forbidden_set_size", fake)
+    monkeypatch.setattr(suites, "random_points", convex_points if convex else random_points)
+    code, out, err = run(capsys, "verify", "--suite", "bracket", "--n", "5", "--seeds", "3")
+    assert (code, err) == (0 if ok else 1, "")
+    case = json.loads(out.splitlines()[0])
+    assert case["ok"] is ok and case["counters"] == {"size": size}
+
+
 def test_verify_embedding_defect_is_a_failed_case(monkeypatch, capsys):
     def broken(*args):
         raise EmbeddingDefectError("broken on purpose")

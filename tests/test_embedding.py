@@ -9,13 +9,14 @@ from prufer_reference import prufer_trees
 
 from forbidtree.embedding import (
     Embedding,
+    _fan_order,
     embed_few_hull_edges,
     embed_recursive,
     lowest_point_root,
     rotate_embedding,
 )
 from forbidtree.generators import convex_points, random_points
-from forbidtree.geometry import Edge, PointSet, convex_hull, edge_depth
+from forbidtree.geometry import Edge, PointSet, angular_sort, convex_hull, edge_depth, polar_order
 from forbidtree.trees import Tree, all_trees, root_at
 
 
@@ -305,3 +306,34 @@ def test_wedge_run_sorts_each_cell_once(monkeypatch):
     internal = [emb.assignment[v] for v in range(rt.k) if rt.children[v]]
     assert len(internal) == 47
     assert sorted(calls) == sorted(internal)
+
+
+def test_fan_order_is_the_angular_order_at_a_hull_vertex_and_a_fan_inside():
+    """At a hull vertex of its cell _fan_order is angular_sort; inside, a counter-clockwise fan.
+
+    Inside, every point comes once, each in a rotation of the polar order,
+    and each consecutive pair turns counter-clockwise by less than pi.
+    """
+    rng = random.Random(7)
+    hull_centers = interior_centers = 0
+    for n in (5, 8, 12):
+        for seed in range(1, 6):
+            s = random_points(n, seed)
+            for _ in range(40):
+                center, *cell = rng.sample(range(n), rng.randrange(3, n + 1))
+                order = _fan_order(s, center, cell)
+                # angular_sort refuses exactly the centers inside their cell's hull
+                try:
+                    expected = angular_sort(s, center, cell)
+                except ValueError:
+                    expected = None
+                if expected is not None:
+                    hull_centers += 1
+                    assert order == expected
+                    continue
+                interior_centers += 1
+                polar = polar_order(s, center, cell)
+                k = polar.index(order[0])
+                assert order == polar[k:] + polar[:k] and sorted(order) == sorted(cell)
+                assert all(s.orient_idx(center, a, b) == 1 for a, b in zip(order, order[1:]))
+    assert hull_centers > 0 and interior_centers > 0
