@@ -22,6 +22,7 @@ from .geometry import (
     convex_hull,
     crosses,
     hull_edges,
+    hull_maps,
     polar_order,
     require_convex_position,
     visible_hull_vertices,
@@ -209,7 +210,9 @@ class _Engine:
         if self.plan.placements.get(root) is Placement.STAR:
             self._place_star(root, list(range(len(self.s))))
             return self.asg
-        root_pt = self.plan.pinned.get(root, lowest_point_root(self.s))
+        root_pt = self.plan.pinned.get(root)
+        if root_pt is None:
+            root_pt = lowest_point_root(self.s)
         self.asg[root] = root_pt
         rest = [i for i in range(len(self.s)) if i != root_pt]
         self._place_subtree(root, root_pt, rest)
@@ -647,17 +650,16 @@ def rotate_embedding(emb: Embedding, i: int) -> Embedding:
     Only defined for convex position, where the rotation is an automorphism
     of the cyclic point order and therefore preserves planarity.
     """
-    out = _rotated(emb, require_convex_position(emb.points), i)
+    require_convex_position(emb.points)
+    out = _rotated(emb, i)
     out.validate()
     return out
 
 
-def _rotated(emb: Embedding, hull: list[int], i: int) -> Embedding:
-    """emb shifted i places clockwise along the given hull order; not validated."""
-    n = len(hull)
-    pos = {p: j for j, p in enumerate(hull)}
-    asg = tuple(hull[(pos[p] - i) % n] for p in emb.assignment)
-    return Embedding(emb.tree, emb.points, asg)
+def _rotated(emb: Embedding, i: int) -> Embedding:
+    """emb on a convex set shifted i places clockwise along the hull order; not validated."""
+    rotation = hull_maps(emb.points)[i % len(emb.points)]
+    return Embedding(emb.tree, emb.points, tuple(rotation[p] for p in emb.assignment))
 
 
 # The base depends on neither forbidden edge, so a sweep over pairs builds it once.
@@ -678,9 +680,8 @@ def embed_convex_avoiding_two(t: Tree, s: PointSet, f1: Edge, f2: Edge) -> Embed
         raise ValueError("two-edge avoidance is supported for n >= 5")
     s.check_edges(f1, f2)
     base = _few_hull_base(t, s)
-    hull = convex_hull(s)
     for i in range(n):
-        cand = _rotated(base, hull, i)
+        cand = _rotated(base, i)
         if not cand.uses_edge(f1) and not cand.uses_edge(f2):
             cand.validate()  # the validated base rotated: the same crossings
             return cand

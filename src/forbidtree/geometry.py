@@ -11,9 +11,9 @@ point index: orientation signs are inline integer cross products, and
 ``crosses`` is the one crossing test, which ``segments_cross``, embedding
 validation and the oracle's crossing table all use.
 ``Point``, ``Edge`` and ``EdgeSet`` are immutable values. A ``PointSet``
-never changes its points but fills its hull, crossing table and the
-oracle's candidate rows lazily, on first use; the predicates are pure
-functions.
+never changes its points but fills its hull, its hull maps, crossing
+table and the oracle's candidate rows lazily, on first use; the predicates
+are pure functions.
 """
 from __future__ import annotations
 
@@ -182,6 +182,7 @@ class PointSet:
                     f"collinear triple at indices {i},{i + j + 1},{i + k + 1}")
         self.xy = xy
         self._hull: tuple[int, ...] | None = None
+        self._hull_maps: HullMaps | tuple[()] | None = None
         self._crossing_masks: list[int] | None = None
         self._candidate_rows: tuple[tuple[tuple[int, int, int, int], ...], ...] | None = None
 
@@ -376,6 +377,46 @@ def require_convex_position(s: PointSet) -> list[int]:
     if not is_convex_position(s):
         raise ValueError("point set is not in convex position")
     return convex_hull(s)
+
+
+class HullMaps:
+    """The dihedral group of a convex set's hull order, as point maps built on first read.
+
+    ``maps[i]`` is a tuple indexed by point. Map i < n sends each point i
+    places clockwise along the hull order (map 0 is the identity), and map
+    n + i sends the point at hull position j to position i - j, a
+    reflection. Two chords of a convex set cross iff their ends alternate
+    along the hull, so every map keeps crossings. A map is built in O(n)
+    when first read and kept, so a caller that reads a few of the 2n maps
+    pays for those only.
+    """
+
+    def __init__(self, hull: Sequence[int]):
+        self._hull = tuple(hull)
+        self._pos = [0] * len(hull)
+        for j, p in enumerate(hull):
+            self._pos[p] = j
+        self._maps: list[tuple[int, ...] | None] = [None] * (2 * len(hull))
+
+    def __len__(self) -> int:
+        return len(self._maps)
+
+    def __getitem__(self, i: int) -> tuple[int, ...]:
+        if not 0 <= i < len(self._maps):
+            raise IndexError(f"map index {i} out of range")
+        m = self._maps[i]
+        if m is None:
+            hull, n = self._hull, len(self._hull)
+            sign, shift = (1, -i) if i < n else (-1, i - n)
+            m = self._maps[i] = tuple(hull[(sign * j + shift) % n] for j in self._pos)
+        return m
+
+
+def hull_maps(s: PointSet) -> HullMaps | tuple[()]:
+    """The ``HullMaps`` of a set in convex position, cached on the set; () off convex position."""
+    if s._hull_maps is None:
+        s._hull_maps = HullMaps(s._hull) if is_convex_position(s) else ()
+    return s._hull_maps
 
 
 # Vectors (dx, dy, index) from a center: u sorts before v iff v is counter-

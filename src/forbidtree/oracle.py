@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .embedding import Embedding
-from .geometry import Edge, EdgeSet, PointSet
+from .geometry import Edge, EdgeSet, PointSet, hull_maps
 from .trees import RootedTree, Tree, _ahu_codes, all_trees, root_at
 
 DEFAULT_BUDGET = 10**8
@@ -113,10 +113,20 @@ def _search(
     isomorphic sibling subtrees redraws the same segments, so the
     lexicographically first drawing, the one found first, obeys that rule,
     and the verdict and assignment are those of the unrestricted search.
+    Root points are tried in ascending order too. Once root point 0 has
+    failed, a root point p is skipped when a map of G_F (``_skipped_roots``)
+    sends it to a point below p. Such a map keeps F and keeps crossings,
+    so a drawing rooted at p would map to one rooted at its image; by
+    induction over the root points, every one below p holds no drawing,
+    so p holds none either, and the verdict and the first assignment are
+    those of the search without the rule (symmetry breaking; Crawford,
+    Ginsberg, Luks and Roy, KR 1996). G_F is built only once root point 0
+    has failed, from maps cached on the point set.
+
     A node is a candidate tried, counted before it is tested; the points a
-    twin skips are not counted. Exhaustive within the budget; the verdict
-    is None when the budget runs out. The assignment is unchecked: see
-    ``_witness``.
+    twin skips and the skipped root points are not counted. Exhaustive
+    within the budget; the verdict is None when the budget runs out. The
+    assignment is unchecked: see ``_witness``.
     """
     k, n = t.k, len(s)
     rt, twin, pending = _search_rooting(t)
@@ -167,7 +177,10 @@ def _search(
         root = order[0]
         fan = len(rt.children[root])
         dead, every = s.two_way_mask(forb_mask), (1 << n) - 1
+        skipped = 0
         for pt in range(n):
+            if skipped >> pt & 1:
+                continue
             nodes += 1
             if nodes > budget:
                 raise SearchBudgetExceeded
@@ -179,6 +192,8 @@ def _search(
                 lookahead_prunes += 1
             elif dfs(1, dead, free):
                 return True
+            if not pt:
+                skipped = _skipped_roots(s, forb_mask)
         return False
 
     try:
@@ -187,6 +202,27 @@ def _search(
         found = None
     prunes = dict(zip(PRUNE_KINDS, (crossing_prunes, forbidden_prunes, lookahead_prunes)))
     return found, asg, nodes, prunes
+
+
+def _skipped_roots(s: PointSet, forb_mask: int) -> int:
+    """The point mask of the root points that a map of G_F sends to a lower point.
+
+    G_F holds the maps of ``hull_maps(s)`` other than the identity that map
+    the pairs of ``forb_mask`` onto themselves: the rotations and
+    reflections of a convex set's hull order that keep F. A set not in
+    convex position has no maps, so no root point is skipped.
+    """
+    maps = hull_maps(s)
+    pairs = set(s.edge_pairs(forb_mask)) if maps else ()
+    skipped = 0
+    for i in range(1, len(maps)):
+        m = maps[i]
+        for a, b in pairs:  # a point map is one-to-one on pairs: into F is onto F
+            if (m[a], m[b]) not in pairs and (m[b], m[a]) not in pairs:
+                break
+        else:
+            skipped |= sum(1 << p for p, q in enumerate(m) if q < p)
+    return skipped
 
 
 def _witness(t: Tree, s: PointSet, asg: list[int], forb_mask: int) -> Embedding:
@@ -226,10 +262,15 @@ def exists_embedding(
     nothing forbidden, avoids F, W0 is the answer, and the search settles
     within N0 nodes, N0 being the node count of the search that found W0:
     each candidate it tries, the search without F also tries before it
-    reaches W0. A one-entry cache keyed by (tree, set) keeps W0, checked
-    once by ``_witness``, and N0. A call with F nonempty is answered from
-    it, with no search, when W0 avoids F and ``budget >= N0``: feasible,
-    witness W0, 0 nodes and 0 prunes. Every other call reports the counts
+    reaches W0. That holds beside the root points ``_search`` skips: off
+    convex position it skips none, and in convex position W0 is rooted at
+    point 0, which is tried before any root point is skipped, since any
+    tree embeds with a chosen vertex at any hull point (Ikebe, Perles,
+    Tamura and Tokunaga, DCG 1994). A one-entry cache keyed by (tree, set)
+    keeps W0, checked once by ``_witness``, and N0. A call with F nonempty
+    is answered from it, with no search, when W0 avoids F and
+    ``budget >= N0``: feasible, witness W0, 0 nodes and 0 prunes. Every
+    other call reports the counts
     of its own search. A call with F empty is the search for W0 and fills
     the cache. On a cold pair a feasible search for F is followed by one
     for W0 under the same budget, and the rule above then decides the

@@ -10,7 +10,7 @@ from forbidtree import oracle
 from forbidtree.embedding import Embedding, EmbeddingDefectError
 from forbidtree.forbid import three_consecutive_hull_edges
 from forbidtree.generators import convex_points, random_points
-from forbidtree.geometry import Edge, EdgeSet, convex_hull
+from forbidtree.geometry import Edge, EdgeSet, convex_hull, hull_maps
 from forbidtree.oracle import (
     SearchBudgetExceeded,
     exists_embedding,
@@ -178,6 +178,73 @@ def test_lookahead_cuts_the_blocked_spider():
     assert reference_search(spider_tree(12), s, forbidden, rep.nodes_expanded)[0] is None
 
 
+def test_hull_maps_are_the_dihedral_group_of_a_convex_set():
+    # 2n distinct point maps, the identity first and then the rotations one
+    # place clockwise each, and every map keeps crossings; a set not in
+    # convex position has none, and its searches skip no root point
+    for n in (5, 6, 9):
+        s = convex_points(n, 2)
+        hull, maps = convex_hull(s), list(hull_maps(s))
+        assert len(set(maps)) == len(hull_maps(s)) == 2 * n and maps[0] == tuple(range(n))
+        assert maps[1][hull[1]] == hull[0] and maps[n][hull[0]] == hull[0]
+        cross = s.crossing_sets()
+        for m in maps:
+            assert sorted(m) == list(range(n))
+            for a, b in itertools.combinations(range(n), 2):
+                image = cross[m[a] * n + m[b]]
+                assert image == sum(1 << (min(m[c], m[d]) * n + max(m[c], m[d]))
+                                    for c, d in s.edge_pairs(cross[a * n + b]))
+    # a map is built when first read, and only then
+    lazy = hull_maps(convex_points(7, 1))
+    assert lazy[9] is lazy[9] and sum(m is not None for m in lazy._maps) == 1
+    for i in (-1, 14):
+        with pytest.raises(IndexError):
+            lazy[i]
+    for s in (random_points(7, 1), random_points(9, 2)):
+        assert len(convex_hull(s)) < len(s)
+        assert hull_maps(s) == () and oracle._skipped_roots(s, 0) == 0
+
+
+def test_symmetric_roots_need_the_maps_that_keep_f():
+    # every edge at point 0 is forbidden, so a 5-vertex tree embeds on the
+    # other five points of a convex hexagon. Only the identity and the
+    # reflection that fixes point 0 keep F; a rotation sends each other
+    # point to 0, whose refusal says nothing about them
+    s = convex_points(6, 1)
+    t = all_trees(5)[1]
+    forbidden = EdgeSet(Edge(0, q) for q in range(1, 6))
+    rep = exists_embedding(t, s, forbidden)
+    assert rep.feasible is True and 0 not in rep.witness.assignment
+    found, nodes, _, assignment = reference_search(t, s, forbidden, 10**9)
+    assert found and rep.witness.assignment == assignment and rep.nodes_expanded <= nodes
+    mask = s.edge_mask((e.a, e.b) for e in forbidden)
+    mirror = next(m for m in list(hull_maps(s))[6:] if m[0] == 0)
+    assert oracle._skipped_roots(s, mask) == sum(1 << p for p in range(6) if mirror[p] < p) != 0
+
+
+def test_a_search_settled_at_root_point_0_builds_no_maps():
+    s = convex_points(8, 3)
+    assert exists_embedding(spider_tree(8), s, EdgeSet([Edge(1, 2)])).feasible
+    assert s._hull_maps is None
+
+
+def test_symmetric_roots_cut_the_blocked_spider():
+    # the reflection that keeps three consecutive hull edges halves the
+    # root points tried: 12,973 to 14,102 nodes over the ten start positions
+    # at n = 10 before the skip, and 72,882 at n = 12. The budget cut-off
+    # is exact at the new count
+    s10, s12 = convex_points(10, 1), convex_points(12, 1)
+    cases = [(s10, start, 7021) for start in range(10)] + [(s12, 0, 36033)]
+    for s, start, ceiling in cases:
+        t, forbidden = spider_tree(len(s)), three_consecutive_hull_edges(s, start).edges
+        rep = exists_embedding(t, s, forbidden)
+        assert rep.feasible is False and rep.nodes_expanded <= ceiling, (len(s), start)
+    nodes = exists_embedding(t, s12, forbidden, budget=rep.nodes_expanded).nodes_expanded
+    assert nodes == rep.nodes_expanded
+    short = exists_embedding(t, s12, forbidden, budget=nodes - 1)
+    assert short.unknown and short.nodes_expanded == nodes
+
+
 def test_relabellings_search_alike():
     # the search reads labels only through its rooting, and the twins come
     # from the rooting's shape: relabellings whose rootings have the same
@@ -294,9 +361,10 @@ def test_search_min_shape_is_pinned(monkeypatch):
     # call and node totals of the search core, and a digest of the answers, over
     # the 24 search-min inputs. The calls and the digest were taken with every
     # call made through exists_embedding, before twin subtrees were tried in
-    # one point order; that rule and then the lookahead left them unchanged
-    # and cut the nodes from 156,576 to 87,612 and then to 51,346, so only
-    # the node total was re-pinned
+    # one point order; that rule, the lookahead and the skipped symmetric
+    # root points left them unchanged and cut the nodes from 156,576 to
+    # 87,612, to 51,346 and then to 51,149, so only the node total was
+    # re-pinned
     calls = nodes = 0
     search = oracle._search
 
@@ -313,7 +381,7 @@ def test_search_min_shape_is_pinned(monkeypatch):
         res = min_forbidden_set_size(random_points(6, 1000 + i), 6, 3)
         answers.append({"size": res.size, "edges": res.edges.to_json()["edges"],
                         "tree": res.tree.to_json()})
-    assert (calls, nodes) == (1885, 51346)
+    assert (calls, nodes) == (1885, 51149)
     digest = hashlib.sha256(json.dumps(answers, sort_keys=True).encode()).hexdigest()
     assert digest == "31fedaadd1dd2d3b507b8d4fb68fa0f3e04b6dce8b0d8b0ba57f22fcc2db2336"
 

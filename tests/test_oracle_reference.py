@@ -22,9 +22,10 @@ from hypothesis import strategies as st
 from oracle_reference import reference_search
 from prufer_reference import prufer_to_edges, prufer_trees
 
+from forbidtree import oracle
 from forbidtree.forbid import r_edge_blanket
 from forbidtree.generators import convex_points, random_points
-from forbidtree.geometry import Edge, EdgeSet, PointSet, convex_hull, segments_cross
+from forbidtree.geometry import Edge, EdgeSet, PointSet, convex_hull, hull_maps, segments_cross
 from forbidtree.oracle import (
     _first_drawing,
     _search,
@@ -72,18 +73,20 @@ def _digest(rows):
 # sha256 prefixes of (verdict and witness of the unbounded searches, every
 # field of every search). The first was taken before twin subtrees were
 # tried in one point order, and neither that rule, nor the lookahead, nor
-# the first-drawing answers of exists_embedding changed it. The second was
-# re-pinned with each of the three: the twin rule and the lookahead cut the
-# node and prune counts and settle some of the budget-50 searches (the
-# lookahead also adds its own prune count), and a call answered by the
-# first drawing reports 0 of each. Before the twin rule, it was the digest
+# the first-drawing answers of exists_embedding, nor the skipped symmetric
+# root points changed it. The second was re-pinned with each of the four:
+# the twin rule, the lookahead and the root skips cut the node and prune
+# counts and settle some of the budget-50 searches (the lookahead also adds
+# its own prune count), and a call answered by the first drawing reports 0
+# of each. The root skips moved it only on the sets in convex position
+# (random_points(5, 1) is one). Before the twin rule, it was the digest
 # taken from the frozenset-table oracle.
 PINNED_REPORTS = {
-    ("convex", 5): ("6544f220d7536a89", "8d5c2bf3c229b437"),
-    ("random", 5): ("1d2c83682b44dbf4", "d22d295862feecd6"),
-    ("convex", 6): ("b4cd3c14e6975b14", "bf2bb41ead8bf543"),
+    ("convex", 5): ("6544f220d7536a89", "dc4855a3ae9f34bd"),
+    ("random", 5): ("1d2c83682b44dbf4", "2e2a99747eabc6e6"),
+    ("convex", 6): ("b4cd3c14e6975b14", "1421afc45b1d088a"),
     ("random", 6): ("6fa1af9a2ec9fd9e", "1c700c489ec19514"),
-    ("convex", 7): ("5966d335e1cd5265", "3eba60aeb7a7dd31"),
+    ("convex", 7): ("5966d335e1cd5265", "b9dfa3b1d495969b"),
     ("random", 7): ("b0d1ea55210071eb", "9af59d35e440dd02"),
 }
 
@@ -200,12 +203,13 @@ def test_oracle_matches_reference(case, data):
 
 
 def test_oracle_matches_reference_at_every_budget():
-    # the spider's exhaustive refusal on a convex hexagon (no twins, so only
-    # the lookahead cuts it, from 576 nodes to 256), and, for spiders with
-    # three twin legs, a feasible search on seven random points and a
-    # refusal on a convex 7-gon. Budgets run to the reference's node count
-    # N plus one, or to 1,001 where N is larger: the oracle has settled
-    # well before that
+    # the spider's exhaustive refusal on a convex hexagon (no twins, so the
+    # lookahead cuts it from 576 nodes to 256, and the skipped mirror-image
+    # root points to 128), and, for spiders with three twin legs, a
+    # feasible search on seven random points and a refusal on a convex
+    # 7-gon (3,537 nodes in the reference, 141 here). Budgets run to the
+    # reference's node count N plus one, or to 1,001 where N is larger:
+    # the oracle has settled well before that
     for s in (convex_points(6, 1), random_points(7, 1), convex_points(7, 1)):
         t, forbidden = spider_tree(len(s)), hull_run(s)
         nodes = reference_search(t, s, forbidden, 10**9)[1]
@@ -223,6 +227,50 @@ def test_oracle_matches_reference_on_every_tree_of_eight():
         for forbidden in (EdgeSet(), hull_run(s), EdgeSet([Edge(0, 1), Edge(2, 5)])):
             for t in all_trees(8):
                 assert_dominates_reference(t, s, forbidden, [1, 100])
+
+
+def symmetric_sets(s):
+    """Forbidden sets that a non-identity map of hull_maps(s) keeps.
+
+    The empty set (every map keeps it), the runs of 1 to 3 consecutive hull
+    edges from every start (each kept by a reflection), and the chord from
+    the first hull vertex to the third beside its image under each
+    reflection that moves it.
+    """
+    hull, maps = convex_hull(s), list(hull_maps(s))
+    n = len(hull)
+    runs = [EdgeSet(Edge(hull[(i + j) % n], hull[(i + j + 1) % n]) for j in range(length))
+            for length in (1, 2, 3) for i in range(n)]
+    chord = (hull[0], hull[2])
+    pairs = {frozenset((chord, tuple(sorted((m[chord[0]], m[chord[1]]))))) for m in maps[n:]}
+    mirrored = [EdgeSet(Edge(*e) for e in pair) for pair in sorted(pairs, key=sorted) if len(pair) == 2]
+    return [EdgeSet(), *runs, *mirrored]
+
+
+def test_oracle_matches_reference_under_symmetric_forbidden_sets(monkeypatch):
+    # on convex sets the search skips root points that a map keeping F
+    # sends lower: against the frozen loop, the verdict and witness are the
+    # same and the nodes no more, at every budget the helper tries; and
+    # the skips cut nodes on some input of every n
+    trees = {n: [spider_tree(n), Tree(n, [(i, i + 1) for i in range(n - 1)]),
+                 Tree(n, [(0, i) for i in range(1, n)])] for n in range(5, 10)}
+    trees[6] += all_trees(6) + all_trees(5)
+    for n, shapes in trees.items():
+        s = convex_points(n, 1)
+        sets = symmetric_sets(s)
+        assert all(oracle._skipped_roots(s, s.edge_mask((e.a, e.b) for e in f)) for f in sets)
+        cut = False
+        for t in shapes:
+            for forbidden in sets:
+                assert_dominates_reference(t, s, forbidden, [1, 100])
+                with monkeypatch.context() as m:
+                    m.setattr(oracle, "_skipped_roots", lambda s, mask: 0)
+                    unskipped = core_fields(t, s, forbidden, 10**9)
+                skipped = core_fields(t, s, forbidden, 10**9)
+                assert [skipped[0], skipped[3]] == [unskipped[0], unskipped[3]]
+                assert skipped[1] <= unskipped[1]
+                cut |= skipped[1] < unskipped[1]
+        assert cut, n
 
 
 def test_reports_do_not_depend_on_cache_state():
