@@ -105,10 +105,22 @@ class Embedding:
 
     @cached_property
     def _crossings(self) -> int:
-        xy, segs = self.points.xy, self.segment_pairs
+        # Each segment as its x-span (lo, hi) and ends, sorted by lo. A proper
+        # crossing lies inside both closed x-spans, so once a later span starts
+        # right of hi, it and every span after it miss this segment: the break
+        # skips only pairs that cannot cross, and the count stays exact.
+        xy, asg = self.points.xy, self.assignment
+        spans = []
+        for u, v in self.tree.edges:
+            a, b = asg[u], asg[v]
+            ax, bx = xy[a][0], xy[b][0]
+            spans.append((ax, bx, a, b) if ax < bx else (bx, ax, a, b))
+        spans.sort()
         count = 0
-        for i, (a, b) in enumerate(segs):
-            for c, d in segs[i + 1:]:
+        for i, (_, hi, a, b) in enumerate(spans):
+            for lo, _, c, d in spans[i + 1:]:
+                if lo > hi:
+                    break
                 if a != c and a != d and b != c and b != d and crosses(xy, a, b, c, d):
                     count += 1
         return count
@@ -261,10 +273,12 @@ class _Engine:
                 continue
             c_pt = pinned.get(c)
             if c_pt is None:
-                cand = _facing_chain(self.s.xy, block)
-                if off:
-                    cand = [q for q in cand if (v_pt, q) not in off] or cand
-                c_pt = cand[0]
+                # the facing chain starts at block[0], the clockwise extreme,
+                # so it is built only when avoid_edges rejects that point
+                c_pt = block[0]
+                if (v_pt, c_pt) in off:
+                    c_pt = next((q for q in _facing_chain(self.s.xy, block)
+                                 if (v_pt, q) not in off), c_pt)
             self.asg[c] = c_pt
             rest = [x for x in block if x != c_pt]
             stack.append((c_pt, self._blocks(c, c_pt, rest)))

@@ -162,7 +162,12 @@ class PointSet:
     General position (no two coincident, no three collinear) is enforced
     eagerly at construction; violations raise GeneralPositionError rather
     than degrading later predicates. The check is O(n^2): i < j < k are
-    collinear iff j and k have the same ``_direction`` from i.
+    collinear iff j and k have the same ``_direction`` from i. Row i is
+    first read as float slopes from i (``inf`` for a vertical pair): int/int
+    division is correctly rounded, so parallel directions give equal floats,
+    and a row of distinct slopes holds no collinear triple. Only a row with
+    a tie (a true one, or two slopes that round alike) runs the exact
+    ``_direction`` row, which decides it and names the triple.
     ``xy``, a tuple of (x, y) int pairs, is the only stored form of the
     points; ``s[i]`` and iteration build Points. An edge mask has bit
     ``a * n + b`` per sorted pair (a, b), and its two-way form
@@ -174,7 +179,11 @@ class PointSet:
         if len(set(xy)) != len(xy):
             raise GeneralPositionError("coincident points")
         for i, (px, py) in enumerate(xy):
-            dirs = [_direction(qx - px, qy - py) for qx, qy in xy[i + 1:]]
+            rest = xy[i + 1:]
+            if len({(qy - py) / (qx - px) if qx != px else math.inf
+                    for qx, qy in rest}) == len(rest):
+                continue
+            dirs = [_direction(qx - px, qy - py) for qx, qy in rest]
             if len(set(dirs)) != len(dirs):
                 j = next(j for j, d in enumerate(dirs) if dirs.count(d) > 1)
                 k = dirs.index(dirs[j], j + 1)
@@ -502,5 +511,9 @@ def visible_hull_vertices(s: PointSet, apex: int, cell: Sequence[int]) -> list[i
 
 
 def _facing_chain(xy: Sequence[tuple[int, int]], order: Sequence[int]) -> list[int]:
-    """The hull vertices that the apex of an ``angular_sort`` order (or of a slice of one) sees."""
+    """The hull vertices that the apex of an ``angular_sort`` order (or of a slice of one) sees.
+
+    The chain always starts with ``order[0]``, the clockwise extreme, which
+    the monotone chain appends last and never drops.
+    """
     return _left_chain(xy, reversed(order))[::-1]

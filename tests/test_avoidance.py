@@ -320,6 +320,29 @@ def test_edge_sweep_runs_the_engine_once_plus_repairs(monkeypatch):
     assert runs[0] == frozenset() and all(len(r) == 1 for r in runs[1:])
 
 
+def test_single_edge_sweep_builds_the_facing_chain(monkeypatch):
+    """A child whose clockwise extreme would draw e takes the next vertex of its facing chain.
+
+    The sweep of every tree and edge on a convex 8-gon reaches that branch.
+    """
+    import forbidtree.embedding as embedding
+    calls = []
+    real = embedding._facing_chain
+
+    def spy(*a):
+        calls.append(a)
+        return real(*a)
+
+    monkeypatch.setattr(embedding, "_facing_chain", spy)
+    embedding._single_base.cache_clear()
+    s = convex_points(8, 1)
+    for t in all_trees(8):
+        for e in all_edges(8):
+            emb = embed_avoiding_single(t, s, e)
+            assert not emb.uses_edge(e) and emb.crossing_count() == 0
+    assert calls
+
+
 def test_reorder_then_filter_takes_two_runs(monkeypatch):
     """Rule (d)'s reorder is the only repair: its re-run's edge filter steers the moved child.
 

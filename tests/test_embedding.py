@@ -308,6 +308,24 @@ def test_wedge_run_sorts_each_cell_once(monkeypatch):
     assert sorted(calls) == sorted(internal)
 
 
+def test_default_plan_never_builds_the_facing_chain(monkeypatch):
+    """With nothing to avoid, each child takes its block's clockwise extreme as it is.
+
+    The pinned digest is the assignment drawn when every child took the
+    first vertex of its block's facing chain.
+    """
+    import forbidtree.embedding as embedding
+
+    def refuse(*a):
+        raise AssertionError("the default plan built a facing chain")
+
+    monkeypatch.setattr(embedding, "_facing_chain", refuse)
+    rng = random.Random(80)
+    t = Tree(80, [(v, rng.randrange(v)) for v in range(1, 80)])
+    emb = embed_recursive(root_at(t, 0), random_points(80, 1))
+    assert _digest(emb.assignment) == "8fb794b2f1dbb77b"
+
+
 def test_fan_order_is_the_angular_order_at_a_hull_vertex_and_a_fan_inside():
     """At a hull vertex of its cell _fan_order is angular_sort; inside, a counter-clockwise fan.
 

@@ -10,7 +10,7 @@ the crossing rule over the gift-wrapped hull of the cell.
 import itertools
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from forbidtree.embedding import Embedding, EmbeddingDefectError
@@ -65,6 +65,12 @@ def in_bounds(p) -> bool:
 
 
 @given(point_lists)
+# Float-slope ties, which the drawn coordinates never produce: two distinct
+# slopes from (0, 0) that round to one float, so the exact row must accept
+# the set; slopes 0.0 and -0.0; and two infinite slopes.
+@example([(0, 0), (2**30, 2**30 - 1), (2**30 - 1, 2**30 - 2)])
+@example([(0, 0), (5, 0), (-3, 0)])
+@example([(0, 0), (0, 4), (0, -7)])
 def test_check_matches_triple_loop(coords):
     assert point_set_check(coords) == reference_check(coords)
 
@@ -155,9 +161,12 @@ def test_segments_cross_matches_reference(n, seed, ends):
 
 
 @settings(max_examples=150)
-@given(st.integers(2, 9), st.integers(1, 50), st.randoms(use_true_random=False))
-def test_crossing_count_matches_reference(k, seed, rnd):
-    s = random_points(rnd.randint(k, 12), seed)
+@given(st.integers(2, 9), st.integers(1, 50), st.booleans(), st.randoms(use_true_random=False))
+def test_crossing_count_matches_reference(k, seed, grid, rnd):
+    n = rnd.randint(k, 12)
+    # a small grid repeats x coordinates and draws vertical segments, so
+    # x-spans meet at their ends
+    s = random_points(n, seed, span=n) if grid else random_points(n, seed)
     t = rnd.choice(all_trees(k))
     emb = Embedding(t, s, tuple(rnd.sample(range(len(s)), k)))
     assert emb.crossing_count() == reference_crossings(emb)
@@ -230,3 +239,5 @@ def test_visible_hull_vertices_matches_subset_reference(n, seed, rnd):
         apex = members[0]
     cell = [i for i in members if i != apex]
     assert visible_hull_vertices(s, apex, cell) == visible_by_subset(s, apex, cell)
+    # the wedge engine takes the chain's first vertex without building the chain
+    assert visible_hull_vertices(s, apex, cell)[0] == angular_sort(s, apex, cell)[0]
