@@ -10,7 +10,6 @@ with crossings or a forbidden edge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
@@ -166,13 +165,6 @@ def lowest_point_root(s: PointSet) -> int:
     return min(range(len(s)), key=lambda i: (s.xy[i][1], s.xy[i][0]))
 
 
-class Placement(Enum):
-    """A whole-subtree placement that replaces the wedge step at its root."""
-
-    STAR = "star"
-    SPIDER = "spider"
-
-
 @dataclass
 class RepairPlan:
     """The whole policy of one wedge run; repair rounds change it, the engine only reads it.
@@ -182,16 +174,16 @@ class RepairPlan:
     edge to the parent is not in avoid_edges, if the visible hull offers one:
     child_order: per-vertex child order, which fixes the order of the blocks.
     avoid_edges: sorted point pairs not to draw a child on; the hull edges for
-      few-hull, the forbidden edge for every re-run of the single-edge repair,
-      whose placements read it as their one pair.
-    placements: whole-subtree placements keyed by subtree root.
+      few-hull, the forbidden edge for every re-run of the single-edge repair.
     pinned: the point a vertex must take, in place of its visible-hull
-      choice (or of the lowest point, at the root).
+      choice (or of the lowest point, at the root). The single-edge repair
+      pins a chain head or a root spider's center at an end of e, a star
+      at its center off e and its leaves, and a cell spider at its center,
+      middles and leaves.
     """
 
     child_order: list[list[int]]
     avoid_edges: frozenset[tuple[int, int]] = frozenset()
-    placements: dict[int, Placement] = field(default_factory=dict)
     pinned: dict[int, int] = field(default_factory=dict)
 
 
@@ -201,7 +193,9 @@ class _Engine:
     Each cell is sorted once around its apex. A child block is a slice of
     that order, so it is read as it is, and its subtree is drawn inside its
     own cone from the apex, which no segment of another cone enters. A
-    pinned root may sit inside the hull; its cell is sorted by _fan_order.
+    pinned vertex may sit inside the hull of its cell, which is then sorted
+    by _fan_order; under a fully pinned star or cell spider those blocks go
+    unread.
     """
 
     def __init__(
@@ -219,9 +213,6 @@ class _Engine:
 
     def run(self) -> list[int]:
         root = self.rt.root
-        if self.plan.placements.get(root) is Placement.STAR:
-            self._place_star(root, list(range(len(self.s))))
-            return self.asg
         root_pt = self.plan.pinned.get(root)
         if root_pt is None:
             root_pt = lowest_point_root(self.s)
@@ -255,7 +246,7 @@ class _Engine:
         """
         # both orders of each avoided pair, so a candidate costs one lookup
         off = {pair for a, b in self.plan.avoid_edges for pair in ((a, b), (b, a))}
-        placements, pinned = self.plan.placements, self.plan.pinned
+        pinned = self.plan.pinned
         stack = [(v_pt, self._blocks(v, v_pt, cell))]
         while stack:
             v_pt, blocks = stack[-1]
@@ -264,13 +255,6 @@ class _Engine:
                 stack.pop()
                 continue
             c, block = step
-            placement = placements.get(c)
-            if placement is not None:
-                if placement is Placement.STAR:
-                    self._place_star(c, block)
-                else:
-                    self._place_spider(c, v_pt, block)
-                continue
             c_pt = pinned.get(c)
             if c_pt is None:
                 # the facing chain starts at block[0], the clockwise extreme,
@@ -282,95 +266,6 @@ class _Engine:
             self.asg[c] = c_pt
             rest = [x for x in block if x != c_pt]
             stack.append((c_pt, self._blocks(c, c_pt, rest)))
-
-    def _place_star(self, c: int, block: list[int]) -> None:
-        """Re-embed a star subtree fanning out from an interior cell point.
-
-        All fan edges share the center, and so does the attachment edge, so
-        the drawing is planar for any center choice; picking a center off
-        the forbidden edge's endpoints eliminates that edge. Such a center
-        exists: the block holds a vertex and its >= 2 leaves, so at least 3
-        points, or, at the root, all n >= 5.
-        """
-        (e,) = self.plan.avoid_edges
-        center = min(x for x in block if x not in e)
-        self.asg[c] = center
-        rest = sorted(x for x in block if x != center)
-        for leaf, pt in zip(self.plan.child_order[c], rest):
-            self.asg[leaf] = pt
-
-    def _place_spider(self, z: int, attach_pt: int, block: list[int]) -> None:
-        """Re-anchor a legs-of-two spider subtree inside its own cell.
-
-        A point's rank is its place in the block, which is already in angular
-        order around the attachment point. The spider center moves to an
-        odd-rank point incident to the forbidden edge (or the lowest odd rank
-        strictly between its two even-rank endpoints). The legs are then
-        completed by exhaustive search over all pairings; the search space is
-        complete for the fixed center, so failure is a reportable defect.
-        Both endpoints of e lie in the block, as the last run drew e in
-        it and a plan edit at z leaves z's block as it was.
-        """
-        (e,) = self.plan.avoid_edges
-        ra, rb = sorted(block.index(p) for p in e)
-        if ra % 2 == 1:
-            t = ra
-        elif rb % 2 == 1:
-            t = rb
-        else:
-            t = ra + 1
-        # The parity-mandated anchor is tried first, but it does not admit a
-        # planar completion for every cell geometry, so the remaining cell
-        # points follow as fallback anchors in rank order.
-        for center in [block[t]] + block[:t] + block[t + 1:]:
-            rest = sorted(x for x in block if x != center)
-            pairs = self._complete_spider(attach_pt, center, rest)
-            if pairs is not None:
-                self.asg[z] = center
-                for (mid_pt, leaf_pt), c in zip(pairs, self.plan.child_order[z]):
-                    leaf_v = self.plan.child_order[c][0]
-                    self.asg[c] = mid_pt
-                    self.asg[leaf_v] = leaf_pt
-                return
-        raise EmbeddingDefectError("no planar spider completion at any anchor")
-
-    def _complete_spider(self, attach_pt: int, center: int,
-                         rest: list[int]) -> list[tuple[int, int]] | None:
-        """(middle, leaf) point pairs for the legs from center, or None.
-
-        The spider lies in its block's cone from attach_pt, so a spoke or leg
-        can cross only the attach edge or another of its own legs.
-        """
-        (e,) = self.plan.avoid_edges
-        banned = {e, e[::-1]}
-        xy = self.s.xy
-
-        def ok(new: tuple[int, int], against: list[tuple[int, int]]) -> bool:
-            if new in banned:
-                return False
-            p, q = new
-            return not any(p != c and p != d and q != c and q != d and crosses(xy, p, q, c, d)
-                           for c, d in against)
-
-        def dfs(unused: list[int], drawn: list[tuple[int, int]], acc: list[tuple[int, int]]):
-            if not unused:
-                return list(acc)
-            a = unused[0]
-            for b in unused[1:]:
-                for mid, leaf in ((a, b), (b, a)):
-                    spoke = (center, mid)
-                    leg = (mid, leaf)
-                    if not ok(spoke, drawn) or not ok(leg, drawn + [spoke]):
-                        continue
-                    acc.append((mid, leaf))
-                    found = dfs([x for x in unused if x not in (a, b)],
-                                drawn + [spoke, leg], acc)
-                    if found is not None:
-                        return found
-                    acc.pop()
-            return None
-
-        return dfs(rest, [(attach_pt, center)], [])
 
 
 def _fan_order(s: PointSet, center: int, cell: Sequence[int]) -> list[int]:
@@ -489,26 +384,34 @@ def _apply_repair(s: PointSet, rt: RootedTree, plan: RepairPlan, u: int, v: int,
          (only the first run, which has no filter, gets here).
       b. v is a leaf with a bigger sibling: move the first bigger sibling v2
          onto v's block start; the filter steers it off q, as u sits at p.
-      c. v is a leaf and so are all its siblings: re-fan u's star subtree
-         from a cell point off the forbidden edge.
+      c. v is a leaf and so are all its siblings: pin u's star at the least
+         point of u's block off e, and u's leaves at the rest, ascending.
       d. v is an only-child leaf: pin the grandparent z of a 3-vertex
-         chain at an end of e, shift the block boundaries at z, or
-         re-anchor a spider subtree (pinned at the root, placed inside its
-         own cell elsewhere).
+         chain at an end of e, shift the block boundaries at z, or pin a
+         spider subtree (its center at p at the root; below it, the whole
+         spider inside its own block, by _cell_spider_pins).
 
-    The two pins of (d) turn whole-subtree placements into plain runs. A
-    chain z, u, v fills z's block, which is {z's point, p, q} as in the last
-    run, since a plan edit at z leaves z's block as it was. One of p and q
-    is an angular extreme of the 3 points seen from z's parent, and both
-    extremes are visible, so z is pinned at a visible one, the lower first;
-    the filter then puts u on the third point and v on the other end of e.
-    The two chain segments share u's point, and the attachment touches the
-    block only at a visible hull vertex, so the drawing is planar. A root
-    spider's center is pinned at p, the point of the root's child u; p may
-    lie inside the hull, and _fan_order lists the other points around it so
-    that each leg's 2-point block spans less than pi. Each leg stays in its
-    own cone from p, and the filter swaps a leg whose middle vertex would
-    sit on q with its leaf.
+    Every pin is read off the last run's assignment. A plan edit at a
+    vertex leaves that vertex's block as it was, and the rules that pin,
+    (c) and (d)'s chain and spiders, end the loop (see below). So a fully
+    pinned star or spider lands on its own block, and the child blocks the
+    engine computes under its pinned center are simply not read. A star's
+    block holds u and its >= 2 leaves (all n >= 5 points at the root), so
+    a point off e exists, and any center is planar, since every fan edge
+    and the attachment share it. A cell spider's block holds both ends of
+    e, as the last run drew e in it.
+
+    A chain z, u, v fills z's block, which is {z's point, p, q} as in the
+    last run. One of p and q is an angular extreme of the 3 points seen
+    from z's parent, and both extremes are visible, so z is pinned at a
+    visible one, the lower first; the filter then puts u on the third
+    point and v on the other end of e. The two chain segments share u's
+    point, and the attachment touches the block only at a visible hull
+    vertex, so the drawing is planar. A root spider's center is pinned at
+    p, the point of the root's child u; p may lie inside the hull, and
+    _fan_order lists the other points around it so that each leg's 2-point
+    block spans less than pi. Each leg stays in its own cone from p, and
+    the filter swaps a leg whose middle vertex would sit on q with its leaf.
 
     Every repair finds the child orders of u and z ascending by subtree
     size, as they start, so rule (b) finds v2 after v. A plan edit at a
@@ -544,7 +447,11 @@ def _apply_repair(s: PointSet, rt: RootedTree, plan: RepairPlan, u: int, v: int,
         child_order[u].insert(child_order[u].index(v), v2)
         return
     if len(child_order[u]) > 1:
-        plan.placements[u] = Placement.STAR
+        # u's star fills u's block; its center goes to the least point off e
+        block = sorted([asg[u], *(asg[c] for c in child_order[u])])
+        center = min(x for x in block if x != asg[u] and x != asg[v])
+        plan.pinned[u] = center
+        plan.pinned.update(zip(child_order[u], (x for x in block if x != center)))
         return
     # v is the only child of u and a leaf; with n >= 5 points, u has a
     # parent z, and z has a parent if u is its only child
@@ -574,8 +481,83 @@ def _apply_repair(s: PointSet, rt: RootedTree, plan: RepairPlan, u: int, v: int,
     # every sibling subtree of u is a 2-vertex chain: spider territory
     if rt.parent[z] is None:
         plan.pinned[z] = asg[u]
+        return
+    attach = asg[rt.parent[z]]
+    legs = [(c, child_order[c][0]) for c in child_order[z]]
+    block = angular_sort(s, attach, [asg[z], *(asg[x] for leg in legs for x in leg)])
+    plan.pinned.update(_cell_spider_pins(s, (asg[u], asg[v]), attach, z, legs, block))
+
+
+def _cell_spider_pins(s: PointSet, e: tuple[int, int], attach: int, z: int,
+                      legs: list[tuple[int, int]], block: list[int]) -> dict[int, int]:
+    """Pins for the legs-of-two spider at z inside its block, none drawn on e.
+
+    legs are the (middle, leaf) vertex pairs in z's child order, and block
+    the spider's points in angular order around attach, the point of z's
+    parent. A point's rank is its place in block. The center goes to an
+    odd-rank point on e (or the lowest odd rank strictly between two
+    even-rank ends); the legs are then completed by exhaustive search over
+    all pairings, which is complete for the fixed center, so failure at
+    every anchor is a reportable defect.
+    """
+    ra, rb = sorted(block.index(p) for p in e)
+    if ra % 2 == 1:
+        t = ra
+    elif rb % 2 == 1:
+        t = rb
     else:
-        plan.placements[z] = Placement.SPIDER
+        t = ra + 1
+    # The parity-mandated anchor is tried first, but it does not admit a
+    # planar completion for every cell geometry, so the remaining cell
+    # points follow as fallback anchors in rank order.
+    for center in [block[t]] + block[:t] + block[t + 1:]:
+        rest = sorted(x for x in block if x != center)
+        pairs = _complete_spider(s, e, attach, center, rest)
+        if pairs is not None:
+            pins = {z: center}
+            for (mid_pt, leaf_pt), (mid, leaf) in zip(pairs, legs):
+                pins[mid] = mid_pt
+                pins[leaf] = leaf_pt
+            return pins
+    raise EmbeddingDefectError("no planar spider completion at any anchor")
+
+
+def _complete_spider(s: PointSet, e: tuple[int, int], attach: int, center: int,
+                     rest: list[int]) -> list[tuple[int, int]] | None:
+    """(middle, leaf) point pairs for the legs from center, none drawn on e, or None.
+
+    The spider lies in its block's cone from attach, so a spoke or leg can
+    cross only the attach edge or another of its own legs.
+    """
+    banned = {e, e[::-1]}
+    xy = s.xy
+
+    def ok(new: tuple[int, int], against: list[tuple[int, int]]) -> bool:
+        if new in banned:
+            return False
+        p, q = new
+        return not any(p != c and p != d and q != c and q != d and crosses(xy, p, q, c, d)
+                       for c, d in against)
+
+    def dfs(unused: list[int], drawn: list[tuple[int, int]], acc: list[tuple[int, int]]):
+        if not unused:
+            return list(acc)
+        a = unused[0]
+        for b in unused[1:]:
+            for mid, leaf in ((a, b), (b, a)):
+                spoke = (center, mid)
+                leg = (mid, leaf)
+                if not ok(spoke, drawn) or not ok(leg, drawn + [spoke]):
+                    continue
+                acc.append((mid, leaf))
+                found = dfs([x for x in unused if x not in (a, b)],
+                            drawn + [spoke, leg], acc)
+                if found is not None:
+                    return found
+                acc.pop()
+        return None
+
+    return dfs(rest, [(attach, center)], [])
 
 
 def embed_few_hull_edges(t: Tree, s: PointSet) -> Embedding:

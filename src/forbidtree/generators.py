@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 import random
 
-from .geometry import GeneralPositionError, PointSet, _direction, is_convex_position
+from .geometry import GeneralPositionError, PointSet, _collinear_pair, is_convex_position
 
 CONVEX_RADIUS = 10**6
 RANDOM_SPAN = 10**6
@@ -54,7 +54,7 @@ def random_points(n: int, seed: int = 1, span: int = RANDOM_SPAN) -> PointSet:
     rejected = 0
     while len(pts) < n:
         cand = (rng.randint(-span, span), rng.randint(-span, span))
-        if _degenerate(pts, cand):
+        if cand in pts or _collinear_pair(cand, pts) is not None:
             rejected += 1
             if rejected > _MAX_ATTEMPTS * n:
                 raise GenerationError("rejection sampling failed to reach general position")
@@ -62,10 +62,3 @@ def random_points(n: int, seed: int = 1, span: int = RANDOM_SPAN) -> PointSet:
         pts.append(cand)
     return PointSet(pts)
 
-
-def _degenerate(pts: list[tuple[int, int]], cand: tuple[int, int]) -> bool:
-    """True iff cand coincides with a point of pts or is collinear with two."""
-    if cand in pts:
-        return True
-    cx, cy = cand
-    return len({_direction(x - cx, y - cy) for x, y in pts}) != len(pts)

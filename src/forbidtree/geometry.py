@@ -57,6 +57,28 @@ def _direction(dx: int, dy: int) -> tuple[int, int]:
     return dx, dy
 
 
+def _collinear_pair(p: tuple[int, int],
+                    rest: Sequence[tuple[int, int]]) -> tuple[int, int] | None:
+    """The first two positions j < k of rest that p sees in one direction, or None.
+
+    p must differ from every point of rest; p, rest[j] and rest[k] are then
+    collinear. rest is first read as float slopes from p (``inf`` for a
+    vertical pair): int/int division is correctly rounded, so parallel
+    directions give equal floats, and distinct slopes mean no such pair.
+    Only a tie (a true one, or two slopes that round alike) runs the exact
+    ``_direction`` row, which decides it. This is the one general-position
+    rule: PointSet runs it per row, random_points per candidate.
+    """
+    px, py = p
+    if len({(qy - py) / (qx - px) if qx != px else math.inf for qx, qy in rest}) == len(rest):
+        return None
+    dirs = [_direction(qx - px, qy - py) for qx, qy in rest]
+    if len(set(dirs)) == len(dirs):
+        return None
+    j = next(j for j, d in enumerate(dirs) if dirs.count(d) > 1)
+    return j, dirs.index(dirs[j], j + 1)
+
+
 @dataclass(frozen=True, order=True)
 class Point:
     x: int
@@ -161,13 +183,9 @@ class PointSet:
 
     General position (no two coincident, no three collinear) is enforced
     eagerly at construction; violations raise GeneralPositionError rather
-    than degrading later predicates. The check is O(n^2): i < j < k are
-    collinear iff j and k have the same ``_direction`` from i. Row i is
-    first read as float slopes from i (``inf`` for a vertical pair): int/int
-    division is correctly rounded, so parallel directions give equal floats,
-    and a row of distinct slopes holds no collinear triple. Only a row with
-    a tie (a true one, or two slopes that round alike) runs the exact
-    ``_direction`` row, which decides it and names the triple.
+    than degrading later predicates. The check is O(n^2): row i asks
+    ``_collinear_pair`` whether point i sees two later points in one
+    direction.
     ``xy``, a tuple of (x, y) int pairs, is the only stored form of the
     points; ``s[i]`` and iteration build Points. An edge mask has bit
     ``a * n + b`` per sorted pair (a, b), and its two-way form
@@ -178,15 +196,10 @@ class PointSet:
         xy = tuple((p.x, p.y) for p in map(_point, points))
         if len(set(xy)) != len(xy):
             raise GeneralPositionError("coincident points")
-        for i, (px, py) in enumerate(xy):
-            rest = xy[i + 1:]
-            if len({(qy - py) / (qx - px) if qx != px else math.inf
-                    for qx, qy in rest}) == len(rest):
-                continue
-            dirs = [_direction(qx - px, qy - py) for qx, qy in rest]
-            if len(set(dirs)) != len(dirs):
-                j = next(j for j, d in enumerate(dirs) if dirs.count(d) > 1)
-                k = dirs.index(dirs[j], j + 1)
+        for i, p in enumerate(xy):
+            pair = _collinear_pair(p, xy[i + 1:])
+            if pair is not None:
+                j, k = pair
                 raise GeneralPositionError(
                     f"collinear triple at indices {i},{i + j + 1},{i + k + 1}")
         self.xy = xy

@@ -60,8 +60,8 @@ def _search_rooting(
 ) -> tuple[RootedTree, tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]:
     """The tree rooted for the search, each vertex's twin and the pending table; cached per tree.
 
-    The root is the lowest-index vertex of maximum degree, since early
-    placements constrain the most edges. The twin of v is its nearest
+    The root is the lowest-index vertex of maximum degree, since the
+    vertices placed early constrain the most edges. The twin of v is its nearest
     earlier sibling whose rooted subtree has the same AHU code, or -1.
     Entry i of the pending table holds a ``(u, c)`` pair for each vertex u
     among ``order[:i + 1]`` that has c > 0 children outside it, the latest

@@ -231,13 +231,13 @@ PINNED_SPIDER_CELL_SWEEP = (54, "15bc69b3d539c099")
 def test_spider_cell_repairs_are_pinned(monkeypatch):
     import forbidtree.embedding as embedding
     reached = []
-    real = embedding._Engine._place_spider
+    real = embedding._cell_spider_pins
 
-    def spy(self, *a):
+    def spy(*a):
         reached.append(a)
-        return real(self, *a)
+        return real(*a)
 
-    monkeypatch.setattr(embedding._Engine, "_place_spider", spy)
+    monkeypatch.setattr(embedding, "_cell_spider_pins", spy)
     assignments, spider_inputs = [], 0
     for edges in SPIDER_CELL_TREES:
         t = Tree(len(edges) + 1, edges)
@@ -252,6 +252,45 @@ def test_spider_cell_repairs_are_pinned(monkeypatch):
     assert (spider_inputs, _digest(assignments)) == PINNED_SPIDER_CELL_SWEEP
 
 
+# The recorded single-edge sweep of BENCH_25.json: n = 5..9, every tree (every
+# third at n = 9), vertex 0 swapped with each vertex in turn, convex_points
+# seeds 1-3 and random_points seeds 1-5, every edge. The full sha256 of
+# json.dumps of the assignments, with the star and cell-spider repair counts.
+PINNED_SINGLE_EDGE_SWEEP = (101_144, 5_112, 296,
+                            "48edc39b6705f39b91477412573807e9e27815a2447ed11f671c9babf4c1c3a2")
+
+
+def test_single_edge_sweep_digest_is_pinned(monkeypatch):
+    import forbidtree.embedding as embedding
+    stars, spiders = [], []
+    real_repair, real_spider = embedding._apply_repair, embedding._cell_spider_pins
+
+    def repair_spy(s, rt, plan, u, v, asg):
+        real_repair(s, rt, plan, u, v, asg)
+        # rule (c) pins u and its leaves; a cell spider pins u as a middle vertex
+        stars.append(u in plan.pinned and len(plan.child_order[u]) > 1)
+
+    def spider_spy(*a):
+        spiders.append(a)
+        return real_spider(*a)
+
+    monkeypatch.setattr(embedding, "_apply_repair", repair_spy)
+    monkeypatch.setattr(embedding, "_cell_spider_pins", spider_spy)
+    assignments = []
+    for n in range(5, 10):
+        sets = [convex_points(n, seed) for seed in (1, 2, 3)]
+        sets += [random_points(n, seed) for seed in range(1, 6)]
+        for t in all_trees(n)[::3] if n == 9 else all_trees(n):
+            for v in range(n):
+                swap = {0: v, v: 0}
+                relabelled = Tree(n, [(swap.get(a, a), swap.get(b, b)) for a, b in t.edges])
+                for s in sets:
+                    for e in all_edges(n):
+                        assignments.append(embed_avoiding_single(relabelled, s, e).assignment)
+    digest = hashlib.sha256(json.dumps(assignments).encode()).hexdigest()
+    assert (len(assignments), sum(stars), len(spiders), digest) == PINNED_SINGLE_EDGE_SWEEP
+
+
 def test_first_wedge_run_ignores_the_forbidden_edge():
     """The default plan reads no edge, so one base drawing serves every edge it avoids."""
     for n in (5, 6, 7, 8):
@@ -259,7 +298,7 @@ def test_first_wedge_run_ignores_the_forbidden_edge():
         for t in all_trees(n):
             rt = sort_children_by_subtree_size(root_at(t, 0))
             plan = _default_plan(rt)
-            assert (plan.avoid_edges, plan.placements, plan.pinned) == (frozenset(), {}, {})
+            assert (plan.avoid_edges, plan.pinned) == (frozenset(), {})
             for gen in (convex_points, random_points):
                 for seed in (1, 2, 3):
                     s = gen(n, seed)
@@ -374,46 +413,51 @@ def test_chain_head_takes_the_lower_end_of_e_when_both_are_visible():
 
 
 def test_placements_get_the_cells_their_proofs_promise(monkeypatch):
-    """The whole-subtree placements and the pins get only the cells _apply_repair proves.
+    """Each pin of the single-edge repair gets only the cell _apply_repair proves.
 
-    STAR: a point off e. SPIDER: both ends of e. A pin: an end of e; below
-    the root, on a 3-point block that holds both ends of e, and on the
-    block's chain facing the parent.
+    A star: its center off e, and its pins exactly its block. A cell
+    spider: its pins exactly its block, which holds both ends of e. A chain
+    head or a root spider's center: an end of e; below the root, on a
+    3-point block that holds both ends of e, and on the block's chain
+    facing the parent.
     """
     import forbidtree.embedding as embedding
     reached = set()
 
-    def check_star(self, c, block):
-        (e,) = self.plan.avoid_edges
-        assert any(x not in e for x in block)
-        reached.add("star")
-
-    def check_spider(self, z, attach_pt, block):
-        (e,) = self.plan.avoid_edges
-        assert set(e) <= set(block)
-        reached.add("spider")
-
     def check_pin(self, v, v_pt, cell):
-        if v not in self.plan.pinned:
+        pinned, kids = self.plan.pinned, self.plan.child_order[v]
+        parent = self.rt.parent[v]
+        if v not in pinned or parent in pinned:
             return
         (e,) = self.plan.avoid_edges
-        assert v_pt == self.plan.pinned[v] and v_pt in e
-        parent = self.rt.parent[v]
+        block = [v_pt, *cell]
+        assert v_pt == pinned[v]
+        if kids and kids[0] in pinned:
+            # a whole star or spider is pinned, and lands on its own block
+            subtree = [v, *kids, *(x for c in kids for x in self.plan.child_order[c])]
+            assert sorted(pinned[x] for x in subtree) == sorted(block)
+            if self.rt.subtree_size[kids[0]] == 1:
+                assert v_pt not in e
+                reached.add("star")
+            else:
+                assert parent is not None and set(e) <= set(block)
+                reached.add("spider")
+            return
+        assert v_pt in e
         if parent is None:
             reached.add("pinned root")
             return
-        block = [v_pt, *cell]
         assert len(block) == 3 and set(e) <= set(block)
         assert v_pt in visible_hull_vertices(self.s, self.asg[parent], block)
         reached.add("pinned vertex")
 
-    for name, check in (("_place_star", check_star), ("_place_spider", check_spider),
-                        ("_blocks", check_pin)):
-        def spy(self, *a, _real=getattr(embedding._Engine, name), _check=check):
-            _check(self, *a)
-            return _real(self, *a)
+    real = embedding._Engine._blocks
 
-        monkeypatch.setattr(embedding._Engine, name, spy)
+    def spy(self, *a):
+        check_pin(self, *a)
+        return real(self, *a)
+
+    monkeypatch.setattr(embedding._Engine, "_blocks", spy)
 
     def sweep(t, s):
         for e in all_edges(t.k):

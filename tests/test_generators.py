@@ -1,6 +1,9 @@
+import math
+import random
+
 import pytest
 
-from forbidtree.generators import convex_points, random_points
+from forbidtree.generators import GenerationError, convex_points, random_points
 from forbidtree.geometry import convex_hull, is_convex_position
 
 
@@ -38,9 +41,9 @@ def test_generator_bad_sizes():
         random_points(0, seed=1)
 
 
-# Coordinates produced before _degenerate became O(m) per candidate. The small
-# spans force many coincident and collinear rejections, so equality shows the
-# rejection sequence is unchanged.
+# Coordinates produced before the generator's general-position test became
+# O(m) per candidate. The small spans force many coincident and collinear
+# rejections, so equality shows the rejection sequence is unchanged.
 PINNED = {
     (5, 1, 10**6): [(-718218, 193707), (777197, 682471), (601751, -867656),
                     (-465082, -752707), (39002, 595853)],
@@ -60,3 +63,47 @@ PINNED = {
 def test_random_points_pinned(n, seed, span):
     s = random_points(n, seed, span=span)
     assert [(p.x, p.y) for p in s] == PINNED[(n, seed, span)]
+
+
+def _reference_random_points(n, seed, span):
+    """random_points by its first exact rule: the same rng calls, or "GenerationError".
+
+    A candidate is rejected iff it repeats a point or sees two points in one
+    primitive direction, the rule random_points had before it shared
+    geometry's float-first test.
+    """
+    def direction(dx, dy):
+        g = math.gcd(dx, dy)
+        dx, dy = dx // g, dy // g
+        return (-dx, -dy) if dx < 0 or (dx == 0 and dy < 0) else (dx, dy)
+
+    rng = random.Random(seed)
+    pts, rejected = [], 0
+    while len(pts) < n:
+        cx, cy = cand = (rng.randint(-span, span), rng.randint(-span, span))
+        if cand in pts or len({direction(x - cx, y - cy) for x, y in pts}) != len(pts):
+            rejected += 1
+            if rejected > 200 * n:
+                return "GenerationError"
+            continue
+        pts.append(cand)
+    return pts
+
+
+def test_random_points_match_the_exact_reference_sampler():
+    """Equal points, or both fail.
+
+    Span 1, a 3 x 3 grid, holds no 7 points in general position, so the
+    sampler gives up there at n = 7 and on most seeds at n = 6.
+    """
+    failures = 0
+    for n in range(5, 13):
+        for seed in range(1, 31):
+            for span in (1, n, 2 * n, 10**6) if n <= 7 else (n, 2 * n, 10**6):
+                try:
+                    got = list(random_points(n, seed, span=span).xy)
+                except GenerationError:
+                    got = "GenerationError"
+                    failures += 1
+                assert got == _reference_random_points(n, seed, span), (n, seed, span)
+    assert failures
